@@ -19,6 +19,7 @@ so a checkpoint is self-contained.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -98,7 +99,10 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> ChangeDet
     count = r.u32()
     tensors: dict[str, Tensor] = {}
     for _ in range(count):
-        name = r.take(r.u32()).decode("utf-8")
+        try:
+            name = r.take(r.u32()).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path.name}: tensor name is not UTF-8: {e}")
         dtype_code = r.u8()
         if dtype_code != DTYPE_REAL32:
             raise FormatError(f"{path.name}: unknown dtype code {dtype_code} for tensor {name!r}")
@@ -106,8 +110,13 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> ChangeDet
         if ndim != 4:
             raise FormatError(f"{path.name}: tensor {name!r} has ndim {ndim}, expected 4")
         dims = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
-        n_values = int(np.prod(dims))
-        raw = r.take(4 * n_values)
+        n_bytes = 4 * math.prod(dims)
+        if n_bytes > len(r.buf) - r.pos:
+            raise FormatError(
+                f"{path.name}: tensor {name!r} of shape {dims} needs {n_bytes} bytes, "
+                f"{len(r.buf) - r.pos} remain"
+            )
+        raw = r.take(n_bytes)
         data = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(REAL32)
         if name in tensors:
             raise FormatError(f"{path.name}: duplicate tensor {name!r}")

@@ -24,11 +24,16 @@ def lr_at(step: int, total_steps: int, base_lr: float) -> float:
 
 @dataclass
 class OptimizerState:
-    """First/second moment buffers plus the shared step counter."""
+    """First/second moment buffers plus the shared step counter.
+
+    scratch holds two work buffers per parameter, so an update allocates no
+    temporaries; it carries no state between steps.
+    """
 
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
 
 
 def init_state(params: dict[str, Tensor]) -> OptimizerState:
@@ -74,13 +79,34 @@ def adamw_step(
             raise ShapeError(f"adamw_step: gradient for {name!r} has shape {g.shape}, want {p.data.shape}")
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p.data -= (lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.data)).astype(p.data.dtype)
+        a, b = _scratch(state, name, m)
+        # The ufuncs and their order are those of the textbook form
+        #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        #   p -= lr * (m/bc1 / (sqrt(v/bc2) + eps) + wd*p)
+        # written into two buffers instead of a dozen temporaries.
+        np.multiply(m, beta1, out=m)
+        np.multiply(g, 1.0 - beta1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, beta2, out=v)
+        np.multiply(g, g, out=a)
+        np.multiply(a, 1.0 - beta2, out=a)
+        np.add(v, a, out=v)
+        np.divide(m, bc1, out=a)
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, eps, out=b)
+        np.divide(a, b, out=a)
+        np.multiply(p.data, weight_decay, out=b)
+        np.add(a, b, out=a)
+        np.multiply(a, lr, out=a)
+        np.subtract(p.data, a, out=p.data)
+
+
+def _scratch(state: OptimizerState, name: str, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    bufs = state.scratch.get(name)
+    if bufs is None or bufs[0].shape != like.shape or bufs[0].dtype != like.dtype:
+        bufs = state.scratch[name] = (np.empty_like(like), np.empty_like(like))
+    return bufs
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:

@@ -10,10 +10,17 @@ pass (define-by-run).
 
 Tensors are immutable by convention: ops return new tensors and never write
 into their inputs.  A tape and its backward pass belong to a single thread.
+
+conv2d picks one of three lowerings from the weight geometry alone: a plain
+GEMM for unpadded stride-1 1x1 convs, k*k shifted multiply-adds for the input
+gradient of depthwise convs, and one GEMM per group over (groups, C_g*k*k,
+N*Ho*Wo) columns for every other conv.  Bilinear resize multiplies by two
+interpolation matrices that are memoised per (in, out, dtype) and read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Callable, Sequence
 
@@ -227,43 +234,124 @@ def conv2d(
 
     h_out = (h + 2 * padding - k) // stride + 1
     w_out = (w + 2 * padding - k) // stride + 1
-    xp = x.data
-    if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-    # im2col: windows (N, C_in, Ho, Wo, k, k) -> (N, g, C_g*k*k, Ho*Wo)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(
-        n, groups, c_g * k * k, h_out * w_out
-    )
-    wm = weight.data.reshape(groups, c_out // groups, c_g * k * k)
-    out = np.matmul(wm, cols).reshape(n, c_out, h_out, w_out)
-    if bias is not None:
-        out = out + bias.data
-
-    def backward(gout: np.ndarray):
-        go = gout.reshape(n, groups, c_out // groups, h_out * w_out)
-        if bias is not None and bias.requires_grad:
-            _accum(bias, gout.sum(axis=(0, 2, 3)).reshape(1, c_out, 1, 1))
-        if weight.requires_grad:
-            dw = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0)
-            _accum(weight, dw.reshape(weight.shape))
-        if x.requires_grad:
-            dcols = np.matmul(wm.transpose(0, 2, 1), go)
-            dcols = dcols.reshape(n, c_in, k, k, h_out, w_out)
-            dxp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding), dtype=gout.dtype)
-            for i in range(k):
-                for j in range(k):
-                    dxp[:, :, i : i + h_out * stride : stride, j : j + w_out * stride : stride] += dcols[:, :, i, j]
-            if padding:
-                dxp = dxp[:, :, padding : padding + h, padding : padding + w]
-            _accum(x, dxp)
+    if k == 1 and stride == 1 and padding == 0 and groups == 1:
+        out, backward = _conv_pointwise(x, weight, bias)
+    elif groups == c_in == c_out:
+        out, backward = _conv_depthwise(x, weight, bias, stride, padding, h_out, w_out)
+    else:
+        out, backward = _conv_grouped(x, weight, bias, stride, padding, groups, h_out, w_out)
 
     flops = 2 * n * h_out * w_out * c_out * (k * k * c_g)
     if bias is not None:
         flops += n * h_out * w_out * c_out
     return _emit("conv2d", out, backward, flops=flops)
+
+
+# A tape outlives its step until the cyclic collector frees it, so whatever a
+# backward closure holds adds to peak memory: closures keep at most the
+# columns dW needs, never the padded input.
+
+
+def _padded(a: np.ndarray, p: int) -> np.ndarray:
+    if not p:
+        return a
+    n, c, h, w = a.shape
+    out = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=a.dtype)
+    out[:, :, p : p + h, p : p + w] = a
+    return out
+
+
+def _windows(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """(N, C, Ho, Wo, k, k) strided view of the k x k windows of xp."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    return win[:, :, ::stride, ::stride]
+
+
+def _bias_backward(bias: Tensor | None, gout: np.ndarray):
+    if bias is not None and bias.requires_grad:
+        _accum(bias, gout.sum(axis=(0, 2, 3)).reshape(bias.shape))
+
+
+def _conv_pointwise(x: Tensor, weight: Tensor, bias: Tensor | None):
+    """1x1, stride 1, unpadded, ungrouped: a GEMM on the input as it lies."""
+    n, c_in, h, w = x.shape
+    c_out = weight.shape[0]
+    xm = x.data.reshape(n, c_in, h * w)
+    wm = weight.data.reshape(c_out, c_in)
+    out = np.matmul(wm, xm).reshape(n, c_out, h, w)
+    if bias is not None:
+        out += bias.data
+
+    def backward(gout: np.ndarray):
+        _bias_backward(bias, gout)
+        go = gout.reshape(n, c_out, h * w)
+        if weight.requires_grad:
+            _accum(weight, np.matmul(go, xm.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape))
+        if x.requires_grad:
+            _accum(x, np.matmul(wm.T, go).reshape(x.shape))
+
+    return out, backward
+
+
+def _conv_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, stride, padding, h_out, w_out):
+    """groups == C_in == C_out: im2col forward, k*k shifted multiply-adds for dX."""
+    n, c, h, w = x.shape
+    k = weight.shape[2]
+
+    def columns() -> np.ndarray:
+        win = _windows(_padded(x.data, padding), k, stride).transpose(0, 1, 4, 5, 2, 3)
+        return np.ascontiguousarray(win).reshape(n, c, k * k, h_out * w_out)
+
+    out = np.matmul(weight.data.reshape(c, 1, k * k), columns()).reshape(n, c, h_out, w_out)
+    if bias is not None:
+        out += bias.data
+
+    def backward(gout: np.ndarray):
+        _bias_backward(bias, gout)
+        if weight.requires_grad:
+            # Columns are rebuilt, not kept: they are k*k times the input.
+            go = gout.reshape(n, c, h_out * w_out)
+            _accum(weight, np.einsum("ncp,nctp->ct", go, columns()).reshape(weight.shape))
+        if x.requires_grad:
+            wk = weight.data.reshape(1, c, k, k)
+            dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=gout.dtype)
+            for i in range(k):
+                for j in range(k):
+                    dxp[:, :, i : i + h_out * stride : stride, j : j + w_out * stride : stride] += (
+                        gout * wk[:, :, i : i + 1, j : j + 1]
+                    )
+            _accum(x, dxp[:, :, padding : padding + h, padding : padding + w])
+
+    return out, backward
+
+
+def _conv_grouped(x: Tensor, weight: Tensor, bias: Tensor | None, stride, padding, groups, h_out, w_out):
+    """Columns laid out (groups, C_g*k*k, N*Ho*Wo): one GEMM per group each way."""
+    n, c_in, h, w = x.shape
+    c_out, c_g, k, _ = weight.shape
+    npix = n * h_out * w_out
+    win = _windows(_padded(x.data, padding), k, stride).transpose(1, 4, 5, 0, 2, 3)
+    cols = np.ascontiguousarray(win).reshape(groups, c_g * k * k, npix)
+    wm = weight.data.reshape(groups, c_out // groups, c_g * k * k)
+    out_t = np.matmul(wm, cols).reshape(c_out, n, h_out, w_out)
+    if bias is not None:
+        out_t += bias.data.reshape(c_out, 1, 1, 1)
+    out = np.ascontiguousarray(out_t.transpose(1, 0, 2, 3))
+
+    def backward(gout: np.ndarray):
+        _bias_backward(bias, gout)
+        go = gout.transpose(1, 0, 2, 3).reshape(groups, c_out // groups, npix)
+        if weight.requires_grad:
+            _accum(weight, np.matmul(go, cols.transpose(0, 2, 1)).reshape(weight.shape))
+        if x.requires_grad:
+            dcols = np.matmul(wm.transpose(0, 2, 1), go).reshape(c_in, k, k, n, h_out, w_out)
+            dxp = np.zeros((c_in, n, h + 2 * padding, w + 2 * padding), dtype=gout.dtype)
+            for i in range(k):
+                for j in range(k):
+                    dxp[:, :, i : i + h_out * stride : stride, j : j + w_out * stride : stride] += dcols[:, i, j]
+            _accum(x, dxp[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3))
+
+    return out, backward
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +451,25 @@ def resize_weights(in_size: int, out_size: int, dtype=np.float64) -> np.ndarray:
     return m
 
 
+@functools.lru_cache(maxsize=64)
+def _resize_matrix(in_size: int, out_size: int, dtype: np.dtype) -> np.ndarray:
+    """resize_weights, memoised per (in, out, dtype) and returned read-only."""
+    m = resize_weights(in_size, out_size, dtype)
+    m.flags.writeable = False
+    return m
+
+
+def _resample(a: np.ndarray, my: np.ndarray, mx: np.ndarray) -> np.ndarray:
+    """my @ a @ mx.T over the trailing two axes of a."""
+    return np.matmul(my, np.matmul(a, mx.T))
+
+
 def resize_bilinear_array(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Plain-array bilinear resize over the trailing two axes."""
     h, w = img.shape[-2], img.shape[-1]
     if (h, w) == (out_h, out_w):
         return img.copy()
-    my = resize_weights(h, out_h, img.dtype)
-    mx = resize_weights(w, out_w, img.dtype)
-    tmp = np.tensordot(img, my, axes=([-2], [1]))  # (..., W, out_h)
-    out = np.tensordot(tmp, mx, axes=([-2], [1]))  # (..., out_h, out_w)
-    return np.ascontiguousarray(out)
+    return _resample(img, _resize_matrix(h, out_h, img.dtype), _resize_matrix(w, out_w, img.dtype))
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -391,15 +488,15 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
         return _emit("bilinear_resize", out, backward, flops=0)
 
-    my = resize_weights(h, out_h, x.dtype)
-    mx = resize_weights(w, out_w, x.dtype)
-    out = np.einsum("oh,nchw,pw->ncop", my, x.data, mx, optimize=True)
+    my = _resize_matrix(h, out_h, x.dtype)
+    mx = _resize_matrix(w, out_w, x.dtype)
+    out = _resample(x.data, my, mx)
 
     def backward(gout: np.ndarray):
         if x.requires_grad:
-            _accum(x, np.einsum("oh,ncop,pw->nchw", my, gout, mx, optimize=True))
+            _accum(x, _resample(gout, my.T, mx.T))
 
-    return _emit("bilinear_resize", np.ascontiguousarray(out), backward, flops=8 * out.size)
+    return _emit("bilinear_resize", out, backward, flops=8 * out.size)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from changedet import model as M
 from changedet.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
+from changedet.cli import main
 from changedet.errors import CompatibilityError, FormatError
 
 
@@ -88,6 +89,62 @@ def test_trailing_garbage_rejected(tiny_model, tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00\x01\x02")
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def _first_tensor_offset(blob: bytes) -> int:
+    cfg_len = struct.unpack("<I", blob[8:12])[0]
+    return 16 + cfg_len  # magic, version, config length, config, tensor count
+
+
+def _with_first_dims(blob: bytes, dims) -> bytes:
+    """blob with the first tensor's dims header replaced (same ndim)."""
+    at = _first_tensor_offset(blob)
+    name_len = struct.unpack("<I", blob[at : at + 4])[0]
+    dims_at = at + 4 + name_len + 1 + 4
+    return blob[:dims_at] + struct.pack(f"<{len(dims)}I", *dims) + blob[dims_at + 4 * len(dims) :]
+
+
+def _with_first_name(blob: bytes, name: bytes) -> bytes:
+    at = _first_tensor_offset(blob)
+    name_len = struct.unpack("<I", blob[at : at + 4])[0]
+    assert len(name) == name_len
+    return blob[: at + 4] + name + blob[at + 4 + name_len :]
+
+
+def test_dims_whose_product_overflows_rejected(tiny_model, tmp_path):
+    # 65536**4 wraps to 0 in 64-bit integers; the size must still be refused.
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(tiny_model, path)
+    blob = path.read_bytes()
+    for dims in ((65536,) * 4, (2**32 - 1, 2**32 - 1, 1, 1), (1, 1, 1, 2**30)):
+        bad = tmp_path / "dims.ckpt"
+        bad.write_bytes(_with_first_dims(blob, dims))
+        with pytest.raises(FormatError, match="needs"):
+            load_checkpoint(bad)
+
+
+def test_non_utf8_tensor_name_rejected(tiny_model, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(tiny_model, path)
+    blob = path.read_bytes()
+    name_len = len(M.parameter_names(tiny_model.config)[0].encode("utf-8"))
+    path.write_bytes(_with_first_name(blob, b"\xff" * name_len))
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_checkpoint(path)
+
+
+def test_cli_eval_on_malformed_checkpoint_exits_2(tiny_model, tmp_path, capsys):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(tiny_model, path)
+    blob = path.read_bytes()
+    name_len = len(M.parameter_names(tiny_model.config)[0].encode("utf-8"))
+    for i, bad_blob in enumerate((_with_first_dims(blob, (65536,) * 4), _with_first_name(blob, b"\xff" * name_len))):
+        bad = tmp_path / f"bad{i}.ckpt"
+        bad.write_bytes(bad_blob)
+        code = main(["eval", "--ckpt", str(bad), "--data", str(tmp_path / "no_data")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {bad.name}:")
 
 
 def test_header_layout_is_the_documented_one(tiny_model, tmp_path):

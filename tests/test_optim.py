@@ -95,6 +95,43 @@ class TestAdamW:
             optim.adamw_step(params, state, lr=0.05, weight_decay=0.0)
         assert float(params["w"].data.reshape(())) == pytest.approx(3.0, abs=0.05)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_temporaries_formula(self, dtype):
+        # The update written with plain temporaries is the reference; the
+        # in-place form must reproduce it bit for bit, moments included.
+        def reference(params, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
+            bc1 = 1.0 - beta1**step
+            bc2 = 1.0 - beta2**step
+            for name, p in params.items():
+                g = p.grad if p.grad is not None else np.zeros_like(p.data)
+                m[name] *= beta1
+                m[name] += (1.0 - beta1) * g
+                v[name] *= beta2
+                v[name] += (1.0 - beta2) * (g * g)
+                m_hat = m[name] / bc1
+                v_hat = v[name] / bc2
+                p.data -= (lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.data)).astype(p.data.dtype)
+
+        rng = np.random.default_rng(5)
+        shapes = {"a": (4, 3, 3, 3), "b": (1, 4, 1, 1), "c": (2, 1, 3, 3)}
+        fast = {k: Tensor(rng.normal(size=s).astype(dtype)) for k, s in shapes.items()}
+        slow = {k: Tensor(t.data.copy()) for k, t in fast.items()}
+        state = optim.init_state(fast)
+        m = {k: np.zeros_like(t.data) for k, t in slow.items()}
+        v = {k: np.zeros_like(t.data) for k, t in slow.items()}
+        for step in range(1, 51):
+            for k, s in shapes.items():
+                g = None if (k == "c" and step % 7 == 0) else rng.normal(size=s).astype(dtype)
+                fast[k].grad = g
+                slow[k].grad = g
+            lr = optim.lr_at(step - 1, 50, 3e-3)
+            optim.adamw_step(fast, state, lr)
+            reference(slow, m, v, step, lr)
+        for k in shapes:
+            assert np.array_equal(fast[k].data, slow[k].data)
+            assert np.array_equal(state.m[k], m[k])
+            assert np.array_equal(state.v[k], v[k])
+
     def test_state_name_mismatch_rejected(self):
         params = one_param(1.0, grad=1.0)
         state = optim.OptimizerState(m={"other": np.zeros((1, 1, 1, 1))}, v={"other": np.zeros((1, 1, 1, 1))})

@@ -25,6 +25,8 @@ class TestConv2d:
             ((1, 3, 5, 5), 4, 3, 2, 0, 1),
             ((1, 3, 8, 8), 2, 3, 2, 1, 1),
             ((2, 2, 5, 5), 2, 5, 1, 2, 1),
+            ((2, 5, 4, 3), 3, 1, 1, 0, 1),  # pointwise, N=2
+            ((2, 3, 7, 6), 3, 3, 2, 1, 3),  # depthwise, stride 2
         ],
     )
     def test_matches_oracle_f32(self, shape, cout, k, stride, padding, groups):
@@ -90,18 +92,31 @@ class TestConv2d:
         out = T.conv2d(T.Tensor(x), T.Tensor(w), padding=1)
         np.testing.assert_array_equal(out.data, x)
 
-    def test_backward_matches_fd(self):
-        x = rand((1, 2, 5, 5), 10, np.float64)
-        w = rand((3, 2, 3, 3), 11, np.float64)
-        b = rand((1, 3, 1, 1), 12, np.float64)
+    @pytest.mark.parametrize(
+        "shape,w_shape,stride,padding,groups",
+        [
+            ((1, 2, 5, 5), (3, 2, 3, 3), 2, 1, 1),
+            ((1, 4, 5, 4), (6, 2, 3, 3), 1, 1, 2),
+            ((2, 3, 5, 5), (3, 1, 3, 3), 1, 1, 3),
+            ((1, 3, 6, 5), (3, 1, 3, 3), 2, 1, 3),
+            ((2, 3, 4, 4), (2, 3, 1, 1), 1, 0, 1),
+            ((1, 3, 5, 5), (2, 3, 1, 1), 2, 0, 1),
+            ((1, 2, 3, 4), (2, 2, 1, 1), 1, 1, 1),
+        ],
+        ids=["dense-s2-p1", "grouped", "depthwise-s1", "depthwise-s2", "pointwise-n2", "1x1-s2", "1x1-p1"],
+    )
+    def test_backward_matches_fd(self, shape, w_shape, stride, padding, groups):
+        x = rand(shape, 10, np.float64)
+        w = rand(w_shape, 11, np.float64)
+        b = rand((1, w_shape[0], 1, 1), 12, np.float64)
         xt, wt, bt = T.Tensor(x), T.Tensor(w), T.Tensor(b)
         with T.Tape() as tape:
-            out = T.conv2d(xt, wt, bt, stride=2, padding=1)
+            out = T.conv2d(xt, wt, bt, stride=stride, padding=padding, groups=groups)
             loss = T.sum_all(out)
         tape.backward(loss)
 
         def f(xa, wa, ba):
-            return oracles.conv2d_oracle(xa, wa, ba, stride=2, padding=1).sum()
+            return oracles.conv2d_oracle(xa, wa, ba, stride=stride, padding=padding, groups=groups).sum()
 
         for arr, grad in ((x, xt.grad), (w, wt.grad), (b, bt.grad)):
             num = np.zeros_like(arr)
@@ -117,6 +132,26 @@ class TestConv2d:
                 num[ix] = (up - dn) / 2e-6
                 it.iternext()
             np.testing.assert_allclose(grad, num, rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize("w_shape,groups", [((3, 2, 3, 3), 1), ((2, 1, 3, 3), 2)])
+    def test_backward_keeps_no_padded_input(self, w_shape, groups):
+        # A dead tape lingers until the cyclic collector runs; its closures
+        # must not pin the padded input, directly or through a nested function.
+        x = T.Tensor(rand((1, 2, 5, 5), 16))
+        w = T.Tensor(rand(w_shape, 17))
+        with T.Tape() as tape:
+            T.conv2d(x, w, stride=1, padding=2, groups=groups)
+        padded_shape = (1, 2, 9, 9)
+        pending, arrays = [tape._records[-1][1]], []
+        while pending:
+            for cell in pending.pop().__closure__ or ():
+                v = cell.cell_contents
+                if isinstance(v, np.ndarray):
+                    arrays.append(v)
+                elif callable(v) and hasattr(v, "__closure__"):
+                    pending.append(v)
+        for a in arrays:
+            assert padded_shape not in (a.shape, getattr(a.base, "shape", None))
 
     def test_rejects_bad_geometry(self):
         x = T.Tensor(np.zeros((1, 4, 4, 4), np.float32))
@@ -248,6 +283,25 @@ class TestBilinearResize:
         got = T.bilinear_resize(T.Tensor(x), *out_hw)
         want = oracles.bilinear_resize_oracle(x, *out_hw)
         np.testing.assert_allclose(got.data, want, rtol=1e-6, atol=1e-7)
+
+    def test_repeat_call_is_bit_identical(self):
+        x = rand((2, 3, 5, 7), 18)
+        first = T.bilinear_resize(T.Tensor(x), 13, 11).data
+        second = T.bilinear_resize(T.Tensor(x), 13, 11).data
+        assert np.array_equal(first, second)
+
+    def test_memoised_matrix_is_read_only(self):
+        m = T._resize_matrix(5, 13, np.dtype(np.float32))
+        assert m is T._resize_matrix(5, 13, np.dtype(np.float32))
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape,out_hw", [((2, 3, 5, 7), (16, 9)), ((3, 8, 8), (5, 12)), ((6, 4), (6, 8))])
+    def test_array_resize_matches_oracle(self, shape, out_hw):
+        x = rand(shape, 19)
+        got = T.resize_bilinear_array(x, *out_hw)
+        want = oracles.bilinear_resize_oracle(x.reshape((-1, 1) + shape[-2:]), *out_hw)
+        np.testing.assert_allclose(got, want.reshape(shape[:-2] + out_hw), rtol=1e-6, atol=1e-7)
 
     def test_identity_is_bit_exact(self):
         x = rand((2, 3, 7, 7), 13)
