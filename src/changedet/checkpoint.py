@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import model_text, parse_model_text
 from .errors import CompatibilityError, ConfigError, FormatError
 from .model import ChangeDetector, ModelConfig, parameter_names
 from .tensor import REAL32, Tensor
@@ -36,7 +37,7 @@ DTYPE_REAL32 = 0
 
 def save_checkpoint(model: ChangeDetector, path) -> None:
     path = Path(path)
-    config_bytes = model.config.to_text().encode("utf-8")
+    config_bytes = model_text(model.config).encode("utf-8")
     names = parameter_names(model.config)
     chunks = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(config_bytes)), config_bytes]
     chunks.append(struct.pack("<I", len(names)))
@@ -88,13 +89,13 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> ChangeDet
     if version != VERSION:
         raise FormatError(f"{path.name}: unsupported format version {version}, expected {VERSION}")
     try:
-        config = ModelConfig.from_text(r.take(r.u32()).decode("utf-8"))
+        config = parse_model_text(r.take(r.u32()).decode("utf-8"))
     except (ConfigError, UnicodeDecodeError) as e:
         raise FormatError(f"{path.name}: bad embedded config: {e}")
     if expect_config is not None and config != expect_config:
         raise CompatibilityError(
             f"{path.name}: checkpoint config does not match the expected one\n"
-            f"checkpoint:\n{config.to_text()}expected:\n{expect_config.to_text()}"
+            f"checkpoint:\n{model_text(config)}expected:\n{model_text(expect_config)}"
         )
     count = r.u32()
     tensors: dict[str, Tensor] = {}

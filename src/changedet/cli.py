@@ -45,17 +45,11 @@ class _Output:
             self.fh.close()
 
 
-def _sections(run_config: RunConfig, names: tuple[str, ...]) -> str:
-    blocks = effective_text(run_config).strip().split("\n\n")
-    by_name = {block.splitlines()[0].strip("[]"): block for block in blocks}
-    return "\n\n".join(by_name[n] for n in names)
-
-
 def _echo(out: _Output, command: str, args_pairs: list[tuple[str, object]], run_config: RunConfig, names):
     out.line(f"# changedet {command} (v{__version__})")
     for key, value in args_pairs:
         out.line(f"# {key} = {value}")
-    out.line(_sections(run_config, tuple(names)))
+    out.line(effective_text(run_config, names).rstrip("\n"))
     out.line("# end config")
 
 

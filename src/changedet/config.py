@@ -5,67 +5,22 @@ documented default, unknown sections or keys rejected outright so a typo
 cannot silently fall back to a default.  `effective_text` renders a config
 back to file syntax with every default resolved; parsing that text
 reproduces the config exactly, which is what makes the echoed header of
-each command sufficient to rerun it.
+each command sufficient to rerun it.  The key table `SCHEMA` is the single
+source of truth for the format: run-config parsing, the rendered text and
+the model text embedded in checkpoints all read it.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+import math
+import re
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .data import SynthConfig
 from .errors import ConfigError
-from .losses import LossSelection, LossWeights
 from .model import ModelConfig, preset
-from .train import AugmentConfig, TrainConfig
-
-_MODEL_KEYS = (
-    "preset",
-    "stem_channels",
-    "encoder_widths",
-    "encoder_depths",
-    "head_hidden",
-    "input_size",
-    "fusion_mode",
-)
-_TRAIN_KEYS = (
-    "batch_size",
-    "base_lr",
-    "weight_decay",
-    "beta1",
-    "beta2",
-    "adam_eps",
-    "epochs",
-    "seed",
-    "teacher_mode",
-    "teacher_checkpoint",
-    "augment",
-    "flip_prob",
-    "jitter_prob",
-    "jitter_strength",
-    "scale_prob",
-    "scale_min",
-    "scale_max",
-    "blur_prob",
-    "blur_sigma_min",
-    "blur_sigma_max",
-)
-_DATA_KEYS = (
-    "image_size",
-    "train_count",
-    "val_count",
-    "test_count",
-    "shape_min",
-    "shape_max",
-    "change_min",
-    "change_max",
-    "drift",
-    "noise_sigma",
-    "seed",
-    "max_retries",
-)
-_LOSS_KEYS = ("gt_loss", "distill_loss", "alpha1", "alpha2", "alpha3")
-_SECTIONS = {"model": _MODEL_KEYS, "train": _TRAIN_KEYS, "data": _DATA_KEYS, "loss": _LOSS_KEYS}
+from .train import TrainConfig
 
 
 @dataclass(frozen=True)
@@ -73,6 +28,65 @@ class RunConfig:
     model: ModelConfig = ModelConfig()
     train: TrainConfig = TrainConfig()
     data: SynthConfig = SynthConfig()
+
+
+# Per section, in rendering order: each key and its path into RunConfig.  A
+# trailing index addresses one end of a pair field that the file spells as
+# two keys.  A value's type is the type of its default.  [model] also accepts
+# `preset`, which picks the base model config and is never rendered.
+SCHEMA: dict[str, tuple[tuple[str, tuple], ...]] = {
+    "model": (
+        ("stem_channels", ("model", "stem_channels")),
+        ("encoder_widths", ("model", "encoder_widths")),
+        ("encoder_depths", ("model", "encoder_depths")),
+        ("head_hidden", ("model", "head_hidden")),
+        ("input_size", ("model", "input_size")),
+        ("fusion_mode", ("model", "fusion_mode")),
+    ),
+    "train": (
+        ("batch_size", ("train", "batch_size")),
+        ("base_lr", ("train", "base_lr")),
+        ("weight_decay", ("train", "weight_decay")),
+        ("beta1", ("train", "beta1")),
+        ("beta2", ("train", "beta2")),
+        ("adam_eps", ("train", "adam_eps")),
+        ("epochs", ("train", "epochs")),
+        ("seed", ("train", "seed")),
+        ("teacher_mode", ("train", "teacher_mode")),
+        ("teacher_checkpoint", ("train", "teacher_checkpoint")),
+        ("augment", ("train", "augment", "enabled")),
+        ("flip_prob", ("train", "augment", "flip_prob")),
+        ("jitter_prob", ("train", "augment", "jitter_prob")),
+        ("jitter_strength", ("train", "augment", "jitter_strength")),
+        ("scale_prob", ("train", "augment", "scale_prob")),
+        ("scale_min", ("train", "augment", "scale_range", 0)),
+        ("scale_max", ("train", "augment", "scale_range", 1)),
+        ("blur_prob", ("train", "augment", "blur_prob")),
+        ("blur_sigma_min", ("train", "augment", "blur_sigma", 0)),
+        ("blur_sigma_max", ("train", "augment", "blur_sigma", 1)),
+    ),
+    "data": (
+        ("image_size", ("data", "image_size")),
+        ("train_count", ("data", "train_count")),
+        ("val_count", ("data", "val_count")),
+        ("test_count", ("data", "test_count")),
+        ("shape_min", ("data", "shape_count", 0)),
+        ("shape_max", ("data", "shape_count", 1)),
+        ("change_min", ("data", "change_fraction", 0)),
+        ("change_max", ("data", "change_fraction", 1)),
+        ("drift", ("data", "drift")),
+        ("noise_sigma", ("data", "noise_sigma")),
+        ("seed", ("data", "seed")),
+        ("max_retries", ("data", "max_retries")),
+    ),
+    "loss": (
+        ("gt_loss", ("train", "selection", "gt_loss")),
+        ("distill_loss", ("train", "selection", "distill_loss")),
+        ("alpha1", ("train", "weights", "alpha1")),
+        ("alpha2", ("train", "weights", "alpha2")),
+        ("alpha3", ("train", "weights", "alpha3")),
+    ),
+}
 
 
 def _to_int(section: str, key: str, raw: str) -> int:
@@ -84,9 +98,12 @@ def _to_int(section: str, key: str, raw: str) -> int:
 
 def _to_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _to_bool(section: str, key: str, raw: str) -> bool:
@@ -102,133 +119,65 @@ def _to_int_tuple(section: str, key: str, raw: str) -> tuple[int, ...]:
     return tuple(_to_int(section, key, part.strip()) for part in raw.split(","))
 
 
-def _build_model(items: dict[str, str]) -> ModelConfig:
-    cfg = preset(items["preset"]) if "preset" in items else ModelConfig()
-    fields = {}
-    if "stem_channels" in items:
-        fields["stem_channels"] = _to_int("model", "stem_channels", items["stem_channels"])
-    if "encoder_widths" in items:
-        fields["encoder_widths"] = _to_int_tuple("model", "encoder_widths", items["encoder_widths"])
-    if "encoder_depths" in items:
-        fields["encoder_depths"] = _to_int_tuple("model", "encoder_depths", items["encoder_depths"])
-    if "head_hidden" in items:
-        fields["head_hidden"] = _to_int("model", "head_hidden", items["head_hidden"])
-    if "input_size" in items:
-        size = _to_int_tuple("model", "input_size", items["input_size"])
-        fields["input_size"] = size * 2 if len(size) == 1 else size
-    if "fusion_mode" in items:
-        fields["fusion_mode"] = items["fusion_mode"].strip()
-    return replace(cfg, **fields) if fields else cfg
+def _to_str(section: str, key: str, raw: str) -> str:
+    return raw.strip()
 
 
-def _build_train(items: dict[str, str], weights: LossWeights, selection: LossSelection) -> TrainConfig:
-    base = TrainConfig()
-    aug = AugmentConfig()
-    aug_fields = {}
-    for key, conv in (
-        ("augment", "enabled"),
-        ("flip_prob", "flip_prob"),
-        ("jitter_prob", "jitter_prob"),
-        ("jitter_strength", "jitter_strength"),
-        ("scale_prob", "scale_prob"),
-        ("blur_prob", "blur_prob"),
-    ):
-        if key in items:
-            if key == "augment":
-                aug_fields[conv] = _to_bool("train", key, items[key])
-            else:
-                aug_fields[conv] = _to_float("train", key, items[key])
-    lo, hi = AugmentConfig().scale_range
-    if "scale_min" in items:
-        lo = _to_float("train", "scale_min", items["scale_min"])
-    if "scale_max" in items:
-        hi = _to_float("train", "scale_max", items["scale_max"])
-    if (lo, hi) != AugmentConfig().scale_range:
-        aug_fields["scale_range"] = (lo, hi)
-    lo, hi = AugmentConfig().blur_sigma
-    if "blur_sigma_min" in items:
-        lo = _to_float("train", "blur_sigma_min", items["blur_sigma_min"])
-    if "blur_sigma_max" in items:
-        hi = _to_float("train", "blur_sigma_max", items["blur_sigma_max"])
-    if (lo, hi) != AugmentConfig().blur_sigma:
-        aug_fields["blur_sigma"] = (lo, hi)
-    if aug_fields:
-        aug = replace(aug, **aug_fields)
-    fields = {}
-    for key in ("batch_size", "epochs", "seed"):
-        if key in items:
-            fields[key] = _to_int("train", key, items[key])
-    for key in ("base_lr", "weight_decay", "beta1", "beta2", "adam_eps"):
-        if key in items:
-            fields[key] = _to_float("train", key, items[key])
-    if "teacher_mode" in items:
-        fields["teacher_mode"] = items["teacher_mode"].strip()
-    if "teacher_checkpoint" in items:
-        fields["teacher_checkpoint"] = items["teacher_checkpoint"].strip()
-    return replace(base, augment=aug, weights=weights, selection=selection, **fields)
+_CONVERTERS = {bool: _to_bool, int: _to_int, float: _to_float, tuple: _to_int_tuple, str: _to_str, type(None): _to_str}
 
 
-def _build_data(items: dict[str, str]) -> SynthConfig:
-    base = SynthConfig()
-    fields = {}
-    for key in ("image_size", "train_count", "val_count", "test_count", "seed", "max_retries"):
-        if key in items:
-            fields[key] = _to_int("data", key, items[key])
-    shape = list(base.shape_count)
-    if "shape_min" in items:
-        shape[0] = _to_int("data", "shape_min", items["shape_min"])
-    if "shape_max" in items:
-        shape[1] = _to_int("data", "shape_max", items["shape_max"])
-    if tuple(shape) != base.shape_count:
-        fields["shape_count"] = tuple(shape)
-    change = list(base.change_fraction)
-    if "change_min" in items:
-        change[0] = _to_float("data", "change_min", items["change_min"])
-    if "change_max" in items:
-        change[1] = _to_float("data", "change_max", items["change_max"])
-    if tuple(change) != base.change_fraction:
-        fields["change_fraction"] = tuple(change)
-    for key in ("drift", "noise_sigma"):
-        if key in items:
-            fields[key] = _to_float("data", key, items[key])
-    return replace(base, **fields) if fields else base
+def _get(config, path: tuple):
+    for step in path:
+        config = config[step] if isinstance(step, int) else getattr(config, step)
+    return config
 
 
-def _build_loss(items: dict[str, str]) -> tuple[LossWeights, LossSelection]:
-    weights = LossWeights(
-        alpha1=_to_float("loss", "alpha1", items.get("alpha1", "1.0")),
-        alpha2=_to_float("loss", "alpha2", items.get("alpha2", "0.5")),
-        alpha3=_to_float("loss", "alpha3", items.get("alpha3", "1.0")),
-    )
-    selection = LossSelection(
-        gt_loss=items.get("gt_loss", "ce").strip(),
-        distill_loss=items.get("distill_loss", "mae").strip(),
-    )
-    return weights, selection
+def _collect(section: str, items: dict[str, str]) -> dict[tuple, object]:
+    """One section's raw values, converted and keyed by their path into RunConfig."""
+    paths = dict(SCHEMA[section])
+    unknown = sorted(set(items) - set(paths))
+    if unknown:
+        raise ConfigError(f"unknown keys in [{section}]: {unknown}")
+    convert = {key: _CONVERTERS[type(_get(RunConfig(), path))] for key, path in paths.items()}
+    return {paths[key]: convert[key](section, key, raw) for key, raw in items.items()}
+
+
+def _build(config, path: tuple, values: dict[tuple, object]):
+    """Dataclass `config` at `path` rebuilt with `values`, children first, so each validates once."""
+    changes = {}
+    for f in fields(config):
+        here = path + (f.name,)
+        old = getattr(config, f.name)
+        if is_dataclass(old):
+            changes[f.name] = _build(old, here, values)
+        elif isinstance(old, tuple) and here not in values:
+            changes[f.name] = tuple(values.get(here + (i,), v) for i, v in enumerate(old))
+        else:
+            changes[f.name] = values.get(here, old)
+    return replace(config, **changes)
 
 
 def parse_run_config(text: str) -> RunConfig:
     """Parse sectioned key=value text; unknown sections or keys are errors."""
-    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+    # No section can be named "", so [DEFAULT] is an ordinary (unknown) section;
+    # a header must end its line, or "[train] epochs = 3" would drop the key.
+    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",), default_section="")
+    parser.SECTCRE = re.compile(r"\[(?P<header>.+)\]$")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"bad config file: {exc}")
-    sections = {}
+    base, values = RunConfig(), {}
     for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown config section [{section}], expected one of {sorted(_SECTIONS)}")
+        if section not in SCHEMA:
+            raise ConfigError(f"unknown config section [{section}], expected one of {sorted(SCHEMA)}")
         items = dict(parser.items(section))
-        unknown = sorted(set(items) - set(_SECTIONS[section]))
-        if unknown:
-            raise ConfigError(f"unknown keys in [{section}]: {unknown}")
-        sections[section] = items
-    weights, selection = _build_loss(sections.get("loss", {}))
-    return RunConfig(
-        model=_build_model(sections.get("model", {})),
-        train=_build_train(sections.get("train", {}), weights, selection),
-        data=_build_data(sections.get("data", {})),
-    )
+        if section == "model" and "preset" in items:
+            base = RunConfig(model=preset(items.pop("preset")))
+        values.update(_collect(section, items))
+    if len(values.get(("model", "input_size"), ())) == 1:  # one value means a square
+        values[("model", "input_size")] *= 2
+    return _build(base, (), values)
 
 
 def load_run_config(path) -> RunConfig:
@@ -239,63 +188,39 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}")
 
 
-def effective_text(config: RunConfig) -> str:
-    """Render with every default resolved; parses back to an equal config."""
-    m, t, d = config.model, config.train, config.data
-    a, w, s = t.augment, t.weights, t.selection
-    lines = [
-        "[model]",
-        f"stem_channels = {m.stem_channels}",
-        f"encoder_widths = {','.join(map(str, m.encoder_widths))}",
-        f"encoder_depths = {','.join(map(str, m.encoder_depths))}",
-        f"head_hidden = {m.head_hidden}",
-        f"input_size = {m.input_size[0]},{m.input_size[1]}",
-        f"fusion_mode = {m.fusion_mode}",
-        "",
-        "[train]",
-        f"batch_size = {t.batch_size}",
-        f"base_lr = {t.base_lr!r}",
-        f"weight_decay = {t.weight_decay!r}",
-        f"beta1 = {t.beta1!r}",
-        f"beta2 = {t.beta2!r}",
-        f"adam_eps = {t.adam_eps!r}",
-        f"epochs = {t.epochs}",
-        f"seed = {t.seed}",
-        f"teacher_mode = {t.teacher_mode}",
-    ]
-    if t.teacher_checkpoint is not None:
-        lines.append(f"teacher_checkpoint = {t.teacher_checkpoint}")
-    lines += [
-        f"augment = {'on' if a.enabled else 'off'}",
-        f"flip_prob = {a.flip_prob!r}",
-        f"jitter_prob = {a.jitter_prob!r}",
-        f"jitter_strength = {a.jitter_strength!r}",
-        f"scale_prob = {a.scale_prob!r}",
-        f"scale_min = {a.scale_range[0]!r}",
-        f"scale_max = {a.scale_range[1]!r}",
-        f"blur_prob = {a.blur_prob!r}",
-        f"blur_sigma_min = {a.blur_sigma[0]!r}",
-        f"blur_sigma_max = {a.blur_sigma[1]!r}",
-        "",
-        "[data]",
-        f"image_size = {d.image_size}",
-        f"train_count = {d.train_count}",
-        f"val_count = {d.val_count}",
-        f"test_count = {d.test_count}",
-        f"shape_min = {d.shape_count[0]}",
-        f"shape_max = {d.shape_count[1]}",
-        f"change_min = {d.change_fraction[0]!r}",
-        f"change_max = {d.change_fraction[1]!r}",
-        f"drift = {d.drift!r}",
-        f"noise_sigma = {d.noise_sigma!r}",
-        f"seed = {d.seed}",
-        f"max_retries = {d.max_retries}",
-        "",
-        "[loss]",
-        f"gt_loss = {s.gt_loss}",
-        f"distill_loss = {s.distill_loss}",
-        f"alpha1 = {w.alpha1!r}",
-        f"alpha2 = {w.alpha2!r}",
-        f"alpha3 = {w.alpha3!r}",
-    ]
-    return "\n".join(lines) + "\n"
+def _lines(config: RunConfig, section: str, delimiter: str):
+    for key, path in SCHEMA[section]:
+        value = _get(config, path)
+        if isinstance(value, bool):
+            value = "on" if value else "off"
+        elif isinstance(value, tuple):
+            value = ",".join(map(str, value))
+        if value is not None:
+            yield f"{key}{delimiter}{value}"
+
+
+def effective_text(config: RunConfig, sections: tuple[str, ...] = tuple(SCHEMA)) -> str:
+    """Render `sections` with every default resolved; parses back to an equal config."""
+    return "\n\n".join("\n".join([f"[{s}]", *_lines(config, s, " = ")]) for s in sections) + "\n"
+
+
+def model_text(config: ModelConfig) -> str:
+    """The config a checkpoint embeds: the [model] keys as key=value lines."""
+    return "".join(line + "\n" for line in _lines(RunConfig(model=config), "model", "="))
+
+
+def parse_model_text(text: str) -> ModelConfig:
+    """Inverse of `model_text`; a missing key takes its default."""
+    items = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        key, delimiter, raw = line.partition("=")
+        key = key.strip()
+        if not delimiter:
+            raise ConfigError(f"model config line {lineno}: expected key=value, got {line!r}")
+        if key in items:
+            raise ConfigError(f"model config line {lineno}: duplicate key {key!r}")
+        items[key] = raw.strip()
+    return _build(ModelConfig(), ("model",), _collect("model", items))

@@ -56,50 +56,13 @@ class ModelConfig:
             raise ConfigError(f"stem_channels must be >= 1, got {self.stem_channels}")
         if self.head_hidden < 1:
             raise ConfigError(f"head_hidden must be >= 1, got {self.head_hidden}")
+        if len(self.input_size) != 2:
+            raise ConfigError(f"input_size needs 2 values (height, width), got {self.input_size}")
         h, ww = self.input_size
         if h < 32 or ww < 32 or h % 32 or ww % 32:
             raise ConfigError(f"input_size must be multiples of 32 (and >= 32), got {self.input_size}")
         if self.fusion_mode not in FUSION_MODES:
             raise ConfigError(f"fusion_mode must be one of {FUSION_MODES}, got {self.fusion_mode!r}")
-
-    def to_text(self) -> str:
-        return "".join(
-            (
-                f"stem_channels={self.stem_channels}\n",
-                f"encoder_widths={','.join(map(str, self.encoder_widths))}\n",
-                f"encoder_depths={','.join(map(str, self.encoder_depths))}\n",
-                f"head_hidden={self.head_hidden}\n",
-                f"input_size={self.input_size[0]},{self.input_size[1]}\n",
-                f"fusion_mode={self.fusion_mode}\n",
-            )
-        )
-
-    @classmethod
-    def from_text(cls, text: str) -> "ModelConfig":
-        fields_seen = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"model config line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            try:
-                if key == "stem_channels":
-                    fields_seen[key] = int(value)
-                elif key in ("encoder_widths", "encoder_depths", "input_size"):
-                    fields_seen[key] = tuple(int(v) for v in value.split(","))
-                elif key == "head_hidden":
-                    fields_seen[key] = int(value)
-                elif key == "fusion_mode":
-                    fields_seen[key] = value
-                else:
-                    raise ConfigError(f"model config line {lineno}: unknown key {key!r}")
-            except ValueError:
-                raise ConfigError(f"model config line {lineno}: bad value {value!r} for {key}")
-        return cls(**fields_seen)
 
 
 PRESETS: dict[str, ModelConfig] = {
@@ -232,8 +195,6 @@ class ModelOutputs:
     boundary: Tensor  # (N,1,H,W) sigmoid auxiliary map
     fused: Tensor  # (N,C1+C4,H/4,W/4)
     fused_mean: Tensor  # (N,1,H/4,W/4) channel mean of fused
-    pyramid: PyramidFeatures | None = None
-    fusion: FusionDetail | None = None
 
 
 def _spec_map(config: ModelConfig) -> dict[str, ConvSpec]:
@@ -393,14 +354,12 @@ class ChangeDetector:
         f = stem_forward(self.params, self.config, pre, post)
         pyr = encoder_forward(self.params, self.config, f)
         if self.config.fusion_mode == "emff":
-            fused, fused_mean, detail = emff_fuse(pyr, self.config.encoder_widths)
+            fused, fused_mean, _ = emff_fuse(pyr, self.config.encoder_widths)
         else:
-            fused, fused_mean, detail = naive_fuse(self.params, pyr, self.config)
+            fused, fused_mean, _ = naive_fuse(self.params, pyr, self.config)
+        del pyr, _  # the head reads only the fused maps; freeing the rest first lowers peak memory
         logits, probs, boundary = head_forward(self.params, self.config, fused, fused_mean, (h, w))
-        return ModelOutputs(
-            logits=logits, probs=probs, boundary=boundary,
-            fused=fused, fused_mean=fused_mean, pyramid=pyr, fusion=detail,
-        )
+        return ModelOutputs(logits=logits, probs=probs, boundary=boundary, fused=fused, fused_mean=fused_mean)
 
 
 def predict_mask(probs) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from changedet import model as M
 from changedet.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from changedet.cli import main
+from changedet.config import parse_model_text
 from changedet.errors import CompatibilityError, FormatError
 
 
@@ -155,9 +156,61 @@ def test_header_layout_is_the_documented_one(tiny_model, tmp_path):
     assert struct.unpack("<I", blob[4:8])[0] == VERSION
     cfg_len = struct.unpack("<I", blob[8:12])[0]
     cfg_text = blob[12 : 12 + cfg_len].decode("utf-8")
-    assert M.ModelConfig.from_text(cfg_text) == tiny_model.config
+    assert parse_model_text(cfg_text) == tiny_model.config
     count = struct.unpack("<I", blob[12 + cfg_len : 16 + cfg_len])[0]
     assert count == len(M.parameter_names(tiny_model.config))
+
+
+TINY_MODEL_TEXT = (
+    "stem_channels=8\nencoder_widths=16,32,64,128\nencoder_depths=1,1,2,1\n"
+    "head_hidden=64\ninput_size=64,64\nfusion_mode=emff\n"
+)
+
+
+def _with_config_text(blob: bytes, text: bytes) -> bytes:
+    cfg_len = struct.unpack("<I", blob[8:12])[0]
+    return blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + cfg_len :]
+
+
+@pytest.fixture(scope="module")
+def tiny_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "tiny.ckpt"
+    save_checkpoint(M.ChangeDetector(M.preset("tiny"), seed=1), path)
+    return path.read_bytes()
+
+
+def test_embedded_model_text_is_pinned(tiny_blob):
+    cfg_len = struct.unpack("<I", tiny_blob[8:12])[0]
+    assert tiny_blob[12 : 12 + cfg_len].decode("utf-8") == TINY_MODEL_TEXT
+
+
+def test_every_truncation_and_deletion_of_model_text_raises_only_format_error(tiny_blob, tmp_path):
+    text = TINY_MODEL_TEXT
+    variants = [text[:i] for i in range(len(text))] + [text[:i] + text[i + 1 :] for i in range(len(text))]
+    path = tmp_path / "variant.ckpt"
+    for variant in variants:
+        path.write_bytes(_with_config_text(tiny_blob, variant.encode("utf-8")))
+        try:
+            load_checkpoint(path)
+        except FormatError:
+            pass
+
+
+def test_duplicate_embedded_key_rejected(tiny_blob, tmp_path):
+    path = tmp_path / "dup.ckpt"
+    path.write_bytes(_with_config_text(tiny_blob, (TINY_MODEL_TEXT + "head_hidden=64\n").encode("utf-8")))
+    with pytest.raises(FormatError, match="duplicate key 'head_hidden'"):
+        load_checkpoint(path)
+
+
+def test_cli_eval_on_one_value_input_size_exits_2(tiny_blob, tmp_path, capsys):
+    path = tmp_path / "square.ckpt"
+    path.write_bytes(_with_config_text(tiny_blob, TINY_MODEL_TEXT.replace("input_size=64,64", "input_size=96").encode("utf-8")))
+    code = main(["eval", "--ckpt", str(path), "--data", str(tmp_path / "no_data")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: square.ckpt: bad embedded config:")
+    assert "input_size needs 2 values" in err
 
 
 def test_fusion_modes_have_different_name_sets(tmp_path):

@@ -313,6 +313,14 @@ def test_bench_from_checkpoint(capsys, nano_run):
     assert "env " in out
 
 
+def test_bench_config_with_three_value_input_size_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[model]\npreset = nano\ninput_size = 96,96,96\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "bench", "--config", cfg, "--size", 32, "--runs", 1, "--warmup", 0)
+    assert code == 2
+    assert err.startswith("error: input_size needs 2 values")
+
+
 def test_bench_rejects_bad_size(capsys):
     code, _, err = run_cli(capsys, "bench", "--preset", "nano", "--size", 33, "--runs", 1)
     assert code == 2

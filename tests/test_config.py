@@ -1,10 +1,12 @@
 """Run-config files: strict keys, resolved defaults, exact round-trips."""
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from changedet.config import RunConfig, effective_text, load_run_config, parse_run_config
+from changedet.config import SCHEMA, RunConfig, effective_text, load_run_config, parse_run_config
 from changedet.data import SynthConfig
 from changedet.errors import ConfigError
 from changedet.losses import LossSelection, LossWeights
@@ -65,6 +67,143 @@ def test_effective_text_lists_every_default():
     assert "teacher_checkpoint" not in text  # only rendered when set
 
 
+DEFAULT_TEXT = """\
+[model]
+stem_channels = 8
+encoder_widths = 16,32,64,128
+encoder_depths = 1,1,2,1
+head_hidden = 64
+input_size = 64,64
+fusion_mode = emff
+
+[train]
+batch_size = 8
+base_lr = 0.0003
+weight_decay = 0.01
+beta1 = 0.9
+beta2 = 0.999
+adam_eps = 1e-08
+epochs = 20
+seed = 0
+teacher_mode = none
+augment = on
+flip_prob = 0.5
+jitter_prob = 0.5
+jitter_strength = 0.1
+scale_prob = 0.3
+scale_min = 1.0
+scale_max = 1.2
+blur_prob = 0.2
+blur_sigma_min = 0.3
+blur_sigma_max = 1.0
+
+[data]
+image_size = 64
+train_count = 200
+val_count = 50
+test_count = 50
+shape_min = 2
+shape_max = 5
+change_min = 0.05
+change_max = 0.35
+drift = 0.08
+noise_sigma = 0.02
+seed = 0
+max_retries = 80
+
+[loss]
+gt_loss = ce
+distill_loss = mae
+alpha1 = 1.0
+alpha2 = 0.5
+alpha3 = 1.0
+"""
+
+
+def test_effective_text_of_defaults_is_pinned():
+    assert effective_text(RunConfig()) == DEFAULT_TEXT
+
+
+def test_effective_text_renders_only_the_named_sections():
+    assert effective_text(RunConfig(), ("data", "loss")) == DEFAULT_TEXT[DEFAULT_TEXT.index("[data]") :]
+    assert effective_text(RunConfig(), ()) == "\n"
+
+
+# One value away from its default per key, spelled as effective_text renders
+# it, plus any line another field needs for the result to validate.
+AWAY = {
+    ("model", "stem_channels"): "6",
+    ("model", "encoder_widths"): "8,16,32,64",
+    ("model", "encoder_depths"): "0,1,2,3",
+    ("model", "head_hidden"): "32",
+    ("model", "input_size"): "96,64",
+    ("model", "fusion_mode"): "naive",
+    ("train", "batch_size"): "3",
+    ("train", "base_lr"): "0.001",
+    ("train", "weight_decay"): "0.0",
+    ("train", "beta1"): "0.8",
+    ("train", "beta2"): "0.99",
+    ("train", "adam_eps"): "1e-06",
+    ("train", "epochs"): "3",
+    ("train", "seed"): "5",
+    ("train", "teacher_mode"): "oracle",
+    ("train", "teacher_checkpoint"): "runs/teacher.ckpt\nteacher_mode = checkpoint",
+    ("train", "augment"): "off",
+    ("train", "flip_prob"): "0.25",
+    ("train", "jitter_prob"): "0.75",
+    ("train", "jitter_strength"): "0.2",
+    ("train", "scale_prob"): "0.1",
+    ("train", "scale_min"): "1.1",
+    ("train", "scale_max"): "1.5",
+    ("train", "blur_prob"): "0.4",
+    ("train", "blur_sigma_min"): "0.5",
+    ("train", "blur_sigma_max"): "0.9",
+    ("data", "image_size"): "96",
+    ("data", "train_count"): "10",
+    ("data", "val_count"): "5",
+    ("data", "test_count"): "0",
+    ("data", "shape_min"): "3",
+    ("data", "shape_max"): "4",
+    ("data", "change_min"): "0.1",
+    ("data", "change_max"): "0.5",
+    ("data", "drift"): "0.0",
+    ("data", "noise_sigma"): "0.05",
+    ("data", "seed"): "9",
+    ("data", "max_retries"): "10",
+    ("loss", "gt_loss"): "soft_miou",
+    ("loss", "distill_loss"): "kl",
+    ("loss", "alpha1"): "2.0",
+    ("loss", "alpha2"): "0.0",
+    ("loss", "alpha3"): "0.25",
+}
+
+
+@pytest.mark.parametrize("section,key", [(s, k) for s, entries in SCHEMA.items() for k, _ in entries])
+def test_every_key_round_trips_away_from_its_default(section, key):
+    rc = parse_run_config(f"[{section}]\n{key} = {AWAY[section, key]}\n")
+    assert rc != RunConfig()
+    line = f"{key} = {AWAY[section, key].splitlines()[0]}"
+    assert line in effective_text(rc, (section,)).splitlines()
+    assert line not in DEFAULT_TEXT.splitlines()
+    assert parse_run_config(effective_text(rc)) == rc
+
+
+def test_every_truncation_and_deletion_raises_only_config_error():
+    text = effective_text(RunConfig())
+    variants = [text[:i] for i in range(len(text))] + [text[:i] + text[i + 1 :] for i in range(len(text))]
+    for variant in variants:
+        try:
+            parse_run_config(variant)
+        except ConfigError:
+            pass
+
+
+def test_readme_example_parses_to_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert parse_run_config(block) == RunConfig()
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match=r"unknown config section \[optimizer\]"):
         parse_run_config("[optimizer]\nlr = 0.1\n")
@@ -73,6 +212,19 @@ def test_unknown_section_rejected():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match=r"unknown keys in \[train\].*learning_rate"):
         parse_run_config("[train]\nlearning_rate = 0.1\n")
+
+
+def test_default_section_rejected():
+    # configparser would otherwise merge [DEFAULT] into every other section.
+    for text in ("[DEFAULT]\nepochs = 3\n", "[DEFAULT]\nepochs = 3\n[train]\nseed = 1\n"):
+        with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+            parse_run_config(text)
+
+
+def test_text_after_section_header_rejected():
+    for text in ("[train] epochs = 3\n", "[model]\npreset = nano\n[train] epochs = 3\n"):
+        with pytest.raises(ConfigError):
+            parse_run_config(text)
 
 
 def test_section_names_are_case_sensitive():
@@ -88,6 +240,20 @@ def test_bad_integer_names_section_and_key():
 def test_bad_float_reports_offending_value():
     with pytest.raises(ConfigError, match=r"\[loss\] alpha2: expected a number, got 'half'"):
         parse_run_config("[loss]\nalpha2 = half\n")
+
+
+@pytest.mark.parametrize("text", [
+    "[train]\nbase_lr = nan\n",
+    "[train]\nweight_decay = inf\n",
+    "[train]\njitter_strength = -inf\n",
+    "[data]\ndrift = inf\n",
+    "[data]\nnoise_sigma = NaN\n",
+    "[loss]\nalpha3 = infinity\n",
+])
+def test_non_finite_number_rejected(text):
+    section, key = re.match(r"\[(\w+)\]\n(\w+)", text).groups()
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: expected a finite number"):
+        parse_run_config(text)
 
 
 def test_bad_bool_rejected():
@@ -119,6 +285,11 @@ def test_model_preset_key_expands():
 def test_model_preset_with_override():
     rc = parse_run_config("[model]\npreset = nano\nhead_hidden = 48\n")
     assert rc.model == replace(preset("nano"), head_hidden=48)
+
+
+def test_input_size_needs_one_or_two_values():
+    with pytest.raises(ConfigError, match="input_size needs 2 values"):
+        parse_run_config("[model]\ninput_size = 96,96,96\n")
 
 
 def test_single_input_size_becomes_square():

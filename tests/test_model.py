@@ -5,6 +5,7 @@ import pytest
 
 from changedet import model as M
 from changedet import tensor as T
+from changedet.config import model_text, parse_model_text
 from changedet.errors import ConfigError, ShapeError
 from changedet.tensor import Tensor
 
@@ -49,11 +50,11 @@ class TestModelConfig:
 
     def test_text_round_trip(self):
         cfg = M.preset("tiny", fusion_mode="naive", input_size=(96, 64))
-        assert M.ModelConfig.from_text(cfg.to_text()) == cfg
+        assert parse_model_text(model_text(cfg)) == cfg
 
     def test_from_text_rejects_unknown_key(self):
         with pytest.raises(ConfigError):
-            M.ModelConfig.from_text("stem_channels=8\ndropout=0.5\n")
+            parse_model_text("stem_channels=8\ndropout=0.5\n")
 
     def test_preset_unknown_name(self):
         with pytest.raises(ConfigError):
