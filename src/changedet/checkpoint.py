@@ -129,4 +129,7 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> ChangeDet
         diff = sorted(set(tensors) ^ set(want))
         raise CompatibilityError(f"{path.name}: tensor names do not match the config: {diff[:6]}")
     ordered = {name: tensors[name] for name in want}
-    return ChangeDetector(config, params=ordered)
+    try:
+        return ChangeDetector(config, params=ordered)
+    except ConfigError as e:  # the tensors contradict the embedded config
+        raise FormatError(f"{path.name}: {e}")

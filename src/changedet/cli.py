@@ -20,20 +20,19 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, effective_text, load_run_config
 from .data import SPLITS, generate_synthetic_dataset, load_index, load_sample
 from .errors import ChangeDetError, ConfigError, DataError, ShapeError
-from .gradcheck import REGISTRY, check_all, check_op
+from .gradcheck import check_all, check_op
 from .losses import LossSelection, LossWeights
-from .metrics import confusion_from_masks, evaluate, metrics_from_confusion
-from .model import ChangeDetector, ModelConfig, predict_mask, preset
+from .metrics import evaluate
+from .model import ChangeDetector, predict_mask, preset
 from .netpbm import load_ppm, save_pgm
 from .profiling import count_flops, param_counts, profile_model
-from .train import TrainConfig, fit, make_teacher
+from .train import fit, make_teacher
 
 
 class _Output:
-    """Mirrors every printed line to an optional log file."""
+    """Mirrors every printed line to an optional log file, which main opens."""
 
-    def __init__(self, path=None):
-        self.fh = open(path, "w", encoding="utf-8") if path else None
+    fh = None
 
     def line(self, text: str, err: bool = False):
         print(text, file=sys.stderr if err else sys.stdout)
@@ -348,12 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = _Output(args.log)
+    out = _Output()
     try:
+        if args.log:
+            out.fh = open(args.log, "w", encoding="utf-8")
         return args.func(args, out)
-    except ChangeDetError as exc:
+    except (ChangeDetError, OSError) as exc:
         out.line(f"error: {exc}", err=True)
-        return exc.exit_code
+        return exc.exit_code if isinstance(exc, ChangeDetError) else 2
     finally:
         out.close()
 

@@ -328,6 +328,10 @@ class ChangeDetector:
             if list(params.keys()) != want:
                 missing = set(want) ^ set(params.keys())
                 raise ConfigError(f"parameter names do not match config: {sorted(missing)[:6]}")
+            for spec in conv_specs(config):
+                for name, shape in ((spec.name + ".w", spec.weight_shape), (spec.name + ".b", spec.bias_shape)):
+                    if params[name].shape != shape:
+                        raise ConfigError(f"parameter {name!r} has shape {params[name].shape}, config expects {shape}")
         self.params = params
 
     def parameters(self) -> dict[str, Tensor]:

@@ -6,7 +6,8 @@ execute eagerly.  While a :class:`Tape` is active on the current thread,
 each op appends a backward closure; ``Tape.backward`` replays the closures
 in reverse execution order, so building the tape in forward order is all
 the topological sorting we ever need.  The tape is rebuilt on every forward
-pass (define-by-run).
+pass (define-by-run).  Tensors hold no reference to the tape, so a step's
+graph is freed when its tape is dropped.
 
 Tensors are immutable by convention: ops return new tensors and never write
 into their inputs.  A tape and its backward pass belong to a single thread.
@@ -30,10 +31,6 @@ from .errors import ConfigError, GraphError, NumericError, ShapeError
 
 REAL32 = np.float32
 REAL64 = np.float64
-
-# Scan every op output for NaN/inf.  Cheap at desk scale; silent NaN
-# propagation is treated as a bug, not a value.
-CHECK_FINITE = True
 
 _tls = threading.local()
 
@@ -73,14 +70,14 @@ class FlopCounter:
 
 
 class Tensor:
-    """A rank-4 array, optionally attached to a tape record.
+    """A rank-4 array; a tape may record it as the output of an op.
 
     grad is allocated lazily during backward; it stays None for tensors the
     loss never reaches.  requires_grad=False marks leaves (such as input
     images) whose gradient nobody will read, letting ops skip the work.
     """
 
-    __slots__ = ("data", "grad", "tape", "node", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = True, dtype=None):
         arr = np.asarray(data)
@@ -92,8 +89,6 @@ class Tensor:
             raise ShapeError(f"tensors are rank-4 (N,C,H,W), got shape {arr.shape}")
         self.data = np.ascontiguousarray(arr)
         self.grad: np.ndarray | None = None
-        self.tape: Tape | None = None
-        self.node: int | None = None
         self.requires_grad = requires_grad
 
     @property
@@ -141,14 +136,9 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def _record(self, out: Tensor, backward: Callable[[np.ndarray], None]):
-        out.tape = self
-        out.node = len(self._records)
-        self._records.append((out, backward))
-
     def backward(self, loss: Tensor):
         """Propagate d(loss)/d(x) into .grad of every tensor reachable from loss."""
-        if loss.tape is not self:
+        if not any(out is loss for out, _ in reversed(self._records)):
             raise GraphError("backward target was not produced on this tape")
         if loss.shape != (1, 1, 1, 1):
             raise ShapeError(f"backward needs a scalar (1,1,1,1) loss, got {loss.shape}")
@@ -180,12 +170,13 @@ def _emit(
     backward: Callable[[np.ndarray], None],
     flops: int | None = None,
 ) -> Tensor:
-    if CHECK_FINITE and not np.isfinite(data).all():
+    # Silent NaN propagation is treated as a bug, not a value.
+    if not np.isfinite(data).all():
         raise NumericError(f"{op} produced non-finite values")
     out = Tensor(data)
     tape = active_tape()
     if tape is not None:
-        tape._record(out, backward)
+        tape._records.append((out, backward))
     counter = getattr(_tls, "flops", None)
     if counter is not None:
         counter._add(op, data.size if flops is None else flops)
@@ -247,9 +238,9 @@ def conv2d(
     return _emit("conv2d", out, backward, flops=flops)
 
 
-# A tape outlives its step until the cyclic collector frees it, so whatever a
-# backward closure holds adds to peak memory: closures keep at most the
-# columns dW needs, never the padded input.
+# A tape keeps every backward closure of its step alive until the tape is
+# dropped, so whatever a closure holds adds to peak memory: closures keep at
+# most the columns dW needs, never the padded input.
 
 
 def _padded(a: np.ndarray, p: int) -> np.ndarray:
@@ -298,20 +289,18 @@ def _conv_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, stride, padd
     n, c, h, w = x.shape
     k = weight.shape[2]
 
-    def columns() -> np.ndarray:
-        win = _windows(_padded(x.data, padding), k, stride).transpose(0, 1, 4, 5, 2, 3)
-        return np.ascontiguousarray(win).reshape(n, c, k * k, h_out * w_out)
-
-    out = np.matmul(weight.data.reshape(c, 1, k * k), columns()).reshape(n, c, h_out, w_out)
+    win = _windows(_padded(x.data, padding), k, stride).transpose(0, 1, 4, 5, 2, 3)
+    cols = np.ascontiguousarray(win).reshape(n, c, k * k, h_out * w_out)
+    del win  # frees the padded input before the output is allocated, which lowers peak memory
+    out = np.matmul(weight.data.reshape(c, 1, k * k), cols).reshape(n, c, h_out, w_out)
     if bias is not None:
         out += bias.data
 
     def backward(gout: np.ndarray):
         _bias_backward(bias, gout)
         if weight.requires_grad:
-            # Columns are rebuilt, not kept: they are k*k times the input.
             go = gout.reshape(n, c, h_out * w_out)
-            _accum(weight, np.einsum("ncp,nctp->ct", go, columns()).reshape(weight.shape))
+            _accum(weight, np.einsum("ncp,nctp->ct", go, cols).reshape(weight.shape))
         if x.requires_grad:
             wk = weight.data.reshape(1, c, k, k)
             dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=gout.dtype)

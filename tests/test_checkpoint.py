@@ -1,5 +1,6 @@
 """Checkpoint round-trips and corruption handling."""
 
+import re
 import struct
 
 import numpy as np
@@ -200,6 +201,15 @@ def test_duplicate_embedded_key_rejected(tiny_blob, tmp_path):
     path = tmp_path / "dup.ckpt"
     path.write_bytes(_with_config_text(tiny_blob, (TINY_MODEL_TEXT + "head_hidden=64\n").encode("utf-8")))
     with pytest.raises(FormatError, match="duplicate key 'head_hidden'"):
+        load_checkpoint(path)
+
+
+def test_tensor_shape_contradicting_embedded_config_rejected(tiny_blob, tmp_path):
+    path = tmp_path / "narrow.ckpt"
+    text = TINY_MODEL_TEXT.replace("head_hidden=64\n", "head_hidden=6\n\n")  # same length
+    path.write_bytes(_with_config_text(tiny_blob, text.encode("utf-8")))
+    want = "narrow.ckpt: parameter 'head.fc1.w' has shape (64, 144, 1, 1), config expects (6, 144, 1, 1)"
+    with pytest.raises(FormatError, match=re.escape(want)):
         load_checkpoint(path)
 
 

@@ -271,6 +271,16 @@ def test_predict_size_mismatch(capsys, nano_run, tmp_path):
     assert "differ" in err
 
 
+def test_predict_out_in_missing_directory_exits_2(capsys, nano_run, tmp_path):
+    a, b, _ = sample_paths(nano_run.data, "test", load_index(nano_run.data, "test").ids[0])
+    code, _, err = run_cli(
+        capsys, "predict", "--ckpt", nano_run.ckpt, "--pre", a, "--post", b,
+        "--out", tmp_path / "missing" / "m.pgm",
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
 def test_predict_missing_image(capsys, nano_run, tmp_path):
     code, _, err = run_cli(
         capsys, "predict", "--ckpt", nano_run.ckpt, "--pre", tmp_path / "no.ppm",
@@ -430,3 +440,12 @@ def test_log_captures_errors_too(capsys, tmp_path):
     code, _, err = run_cli(capsys, "synth", "--out", tmp_path / "ds", "--size", 33, "--log", log)
     assert code == 2
     assert "error:" in log.read_text(encoding="utf-8")
+
+
+def test_log_in_missing_directory_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "gradcheck", "--op", "relu", "--instances", 1, "--log", tmp_path / "missing" / "x.log",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "No such file or directory" in err

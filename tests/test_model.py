@@ -1,5 +1,9 @@
 """Network shapes, fusion contracts, parameter bookkeeping."""
 
+import gc
+import re
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from changedet import model as M
 from changedet import tensor as T
 from changedet.config import model_text, parse_model_text
 from changedet.errors import ConfigError, ShapeError
+from changedet.losses import LossSelection, LossWeights, compute_losses
 from changedet.tensor import Tensor
 
 
@@ -278,6 +283,13 @@ class TestParameterAccounting:
         with pytest.raises(ConfigError):
             M.ChangeDetector(cfg, params=params)
 
+    def test_wrong_param_shape_rejected(self):
+        cfg = M.preset("nano")
+        params = M.init_params(M.preset("nano", head_hidden=34), seed=32)  # nano has head_hidden=32
+        want = "'head.fc1.w' has shape (34, 72, 1, 1), config expects (32, 72, 1, 1)"
+        with pytest.raises(ConfigError, match=re.escape(want)):
+            M.ChangeDetector(cfg, params=params)
+
 
 class TestPredictMask:
     def test_tie_goes_to_no_change(self):
@@ -312,3 +324,32 @@ class TestGradientFlow:
         tape.backward(loss)
         dead = [name for name, p in net.params.items() if p.grad is None]
         assert dead == []
+
+
+class TestGraphOwnership:
+    @pytest.mark.parametrize("fusion_mode", ["emff", "naive"])
+    def test_dropped_tape_frees_its_graph_without_the_cyclic_collector(self, fusion_mode):
+        # The tape owns the step's graph and nothing in the graph refers back
+        # to it, so reference counting alone frees it.
+        net = M.ChangeDetector(M.preset("nano", fusion_mode=fusion_mode), seed=36)
+        pre, post = rand_pair(n=2, hw=32, seed=37)
+        gt = np.zeros((2, 1, 32, 32), np.float32)
+        gt[:, :, 8:20, 4:16] = 1
+
+        def step():
+            with T.Tape() as tape:
+                out = net.forward(pre, post)
+                total, _ = compute_losses(
+                    out.logits, out.probs, out.boundary, gt, out.probs.data, LossWeights(), LossSelection()
+                )
+                tape.backward(total)
+            return weakref.ref(tape)
+
+        step()  # the first call in a process leaves one-off garbage from lazy set-up in the libraries
+        gc.collect()
+        gc.disable()
+        try:
+            assert step()() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

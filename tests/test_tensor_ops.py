@@ -135,8 +135,8 @@ class TestConv2d:
 
     @pytest.mark.parametrize("w_shape,groups", [((3, 2, 3, 3), 1), ((2, 1, 3, 3), 2)])
     def test_backward_keeps_no_padded_input(self, w_shape, groups):
-        # A dead tape lingers until the cyclic collector runs; its closures
-        # must not pin the padded input, directly or through a nested function.
+        # A tape keeps its closures alive until it is dropped; they must not
+        # pin the padded input, directly or through a nested function.
         x = T.Tensor(rand((1, 2, 5, 5), 16))
         w = T.Tensor(rand(w_shape, 17))
         with T.Tape() as tape:
@@ -457,8 +457,11 @@ class TestCombine:
 
 class TestTapeMechanics:
     def test_no_tape_means_no_recording(self):
-        out = T.relu(T.Tensor(rand((1, 1, 2, 2), 27)))
-        assert out.tape is None
+        xt = T.Tensor(rand((1, 1, 2, 2), 27))
+        with T.Tape() as tape:
+            T.relu(xt)
+        T.relu(xt)
+        assert len(tape) == 1
 
     def test_backward_requires_scalar(self):
         xt = T.Tensor(rand((1, 1, 2, 2), 28))
