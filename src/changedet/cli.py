@@ -25,7 +25,7 @@ from .losses import LossSelection, LossWeights
 from .metrics import evaluate
 from .model import ChangeDetector, predict_mask, preset
 from .netpbm import load_ppm, save_pgm
-from .profiling import count_flops, param_counts, profile_model
+from .profiling import count_flops, measure_latency, param_counts
 from .train import fit, make_teacher
 
 
@@ -183,8 +183,10 @@ def cmd_bench(args, out: _Output) -> int:
         [source, ("size", args.size), ("warmup", args.warmup), ("runs", args.runs)],
         rc, ("model",),
     )
-    report = profile_model(model, (args.size, args.size), warmups=args.warmup, runs=args.runs)
-    p, f, lat = report.params, report.flops, report.latency
+    size = (args.size, args.size)
+    p = param_counts(model.params)
+    f = count_flops(model.config, size)
+    lat = measure_latency(model, size, warmups=args.warmup, runs=args.runs)
     out.line(f"input size = {args.size}x{args.size}")
     out.line(f"params total = {p.total}")
     out.line(f"params stem = {p.stem}")

@@ -54,6 +54,8 @@ class SynthConfig:
             raise ConfigError("split counts must be non-negative")
         if self.drift < 0 or self.noise_sigma < 0:
             raise ConfigError("drift and noise_sigma must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def counts(self) -> dict[str, int]:
         return {"train": self.train_count, "val": self.val_count, "test": self.test_count}
@@ -207,7 +209,11 @@ def load_index(root, split: str) -> DatasetIndex:
     manifest = root / split / "manifest.txt"
     if not manifest.is_file():
         raise DataError(f"no manifest for split {split!r} under {root}")
-    ids = [line.strip() for line in manifest.read_text().splitlines() if line.strip()]
+    try:
+        text = manifest.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"manifest {manifest} is not valid UTF-8: {exc}")
+    ids = [line.strip() for line in text.splitlines() if line.strip()]
     return DatasetIndex(root=root, split=split, ids=ids)
 
 

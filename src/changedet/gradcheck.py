@@ -26,8 +26,8 @@ from . import tensor as T
 from .errors import ConfigError
 from .tensor import REAL64, Tensor
 
-DEFAULT_STEP = 1e-5
-DEFAULT_THRESHOLD = 1e-4
+STEP = 1e-5
+THRESHOLD = 1e-4
 DEFAULT_INSTANCES = 20
 
 
@@ -49,7 +49,6 @@ def check_instance(
     arrays: dict[str, np.ndarray],
     fn: Callable[[dict[str, Tensor]], Tensor],
     rng: np.random.Generator,
-    step: float = DEFAULT_STEP,
     sample_elements: int | None = None,
 ) -> float:
     """Max relative error between analytic and numeric gradients.
@@ -73,12 +72,12 @@ def check_instance(
     for name, idx in slots:
         arr = arrays[name]
         orig = arr[idx]
-        arr[idx] = orig + step
+        arr[idx] = orig + STEP
         up = _project(fn, arrays, cot)
-        arr[idx] = orig - step
+        arr[idx] = orig - STEP
         down = _project(fn, arrays, cot)
         arr[idx] = orig
-        numeric = (up - down) / (2.0 * step)
+        numeric = (up - down) / (2.0 * STEP)
         grad = tensors[name].grad
         analytic = 0.0 if grad is None else float(grad[idx])
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0)
@@ -90,13 +89,61 @@ def check_instance(
 # instance builders
 
 
-def _dims(rng, lo=1, hi=6, k=4):
-    return tuple(int(rng.integers(lo, hi + 1)) for _ in range(k))
+def _dims(rng):
+    return tuple(int(rng.integers(1, 7)) for _ in range(4))
 
 
-def _signed_away_from_zero(rng, shape, margin=0.1):
-    mag = rng.uniform(margin, 1.0, shape)
+def _nhw(rng):
+    return int(rng.integers(1, 3)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
+
+
+def _signed_away_from_zero(rng, shape):
+    mag = rng.uniform(0.1, 1.0, shape)
     return mag * rng.choice([-1.0, 1.0], size=shape)
+
+
+def _mask(rng, n, h, w):
+    return (rng.uniform(size=(n, 1, h, w)) > 0.5).astype(np.float64)
+
+
+def _probs2(rng, n, h, w, lo=0.05, hi=0.95):
+    a = rng.uniform(lo, hi, size=(n, 1, h, w))
+    return np.concatenate([a, 1.0 - a], axis=1)
+
+
+def _unary(rng, op, draw=None):
+    """op(x) at a random shape; x is normal unless draw(rng, shape) is given."""
+    shape = _dims(rng)
+    return {"x": rng.normal(size=shape) if draw is None else draw(rng, shape)}, lambda t: op(t["x"])
+
+
+def _channel_pool(rng, op, clear_winner=False):
+    """op(x, c_out) on x of c_out groups of g channels each."""
+    c_out = int(rng.integers(1, 4))
+    g = int(rng.integers(1, 4))
+    n, h, w = _nhw(rng)
+    x = rng.normal(size=(n, c_out * g, h, w))
+    if clear_winner:
+        # a clear per-group winner, so the step cannot flip the argmax
+        xs = x.reshape(n, c_out, g, h, w)
+        idx = xs.argmax(axis=2)
+        top = np.take_along_axis(xs, idx[:, :, None], axis=2)
+        np.put_along_axis(xs, idx[:, :, None], top + 0.01, axis=2)
+    return {"x": x}, lambda t: op(t["x"], c_out)
+
+
+def _gt_loss(rng, op, draw):
+    """op(x, gt) on a random binary mask gt and x = draw(rng, n, h, w)."""
+    n, h, w = _nhw(rng)
+    gt = _mask(rng, n, h, w)
+    return {"x": draw(rng, n, h, w)}, lambda t: op(t["x"], gt)
+
+
+def _teacher_loss(rng, op, lo, hi):
+    """op(p_s, p_t) on two-class maps with probabilities in [lo, hi]."""
+    n, h, w = _nhw(rng)
+    p_t = _probs2(rng, n, h, w, lo, hi)
+    return {"p_s": _probs2(rng, n, h, w, lo, hi)}, lambda t: op(t["p_s"], p_t)
 
 
 def _build_conv(rng):
@@ -123,50 +170,12 @@ def _build_conv(rng):
     return arrays, fn
 
 
-def _build_channel_avg_pool(rng):
-    c_out = int(rng.integers(1, 4))
-    g = int(rng.integers(1, 4))
-    n, h, w = int(rng.integers(1, 3)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
-    arrays = {"x": rng.normal(size=(n, c_out * g, h, w))}
-    return arrays, lambda t: T.channel_avg_pool(t["x"], c_out)
-
-
-def _build_channel_max_pool(rng):
-    c_out = int(rng.integers(1, 4))
-    g = int(rng.integers(1, 4))
-    n, h, w = int(rng.integers(1, 3)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
-    x = rng.normal(size=(n, c_out * g, h, w))
-    # guarantee a clear per-group winner so the step cannot flip the argmax
-    xs = x.reshape(n, c_out, g, h, w)
-    idx = xs.argmax(axis=2)
-    top = np.take_along_axis(xs, idx[:, :, None], axis=2)
-    np.put_along_axis(xs, idx[:, :, None], top + 0.01, axis=2)
-    return {"x": xs.reshape(x.shape)}, lambda t: T.channel_max_pool(t["x"], c_out)
-
-
-def _build_channel_mean(rng):
-    arrays = {"x": rng.normal(size=_dims(rng, 1, 6))}
-    return arrays, lambda t: T.channel_mean(t["x"])
-
-
 def _build_bilinear_resize(rng):
     n, c = int(rng.integers(1, 3)), int(rng.integers(1, 4))
     h, w = int(rng.integers(2, 7)), int(rng.integers(2, 7))
     oh, ow = int(rng.integers(1, 7)), int(rng.integers(1, 7))
     arrays = {"x": rng.normal(size=(n, c, h, w))}
     return arrays, lambda t: T.bilinear_resize(t["x"], oh, ow)
-
-
-def _build_relu(rng):
-    return {"x": _signed_away_from_zero(rng, _dims(rng))}, lambda t: T.relu(t["x"])
-
-
-def _build_tanh(rng):
-    return {"x": rng.normal(size=_dims(rng))}, lambda t: T.tanh(t["x"])
-
-
-def _build_sigmoid(rng):
-    return {"x": rng.normal(size=_dims(rng))}, lambda t: T.sigmoid(t["x"])
 
 
 def _build_add(rng):
@@ -200,35 +209,8 @@ def _build_softmax_channel(rng):
     return {"x": rng.normal(size=(n, c, h, w))}, lambda t: T.softmax_channel(t["x"])
 
 
-def _build_sum_all(rng):
-    return {"x": rng.normal(size=_dims(rng))}, lambda t: T.sum_all(t["x"])
-
-
-def _mask(rng, n, h, w):
-    return (rng.uniform(size=(n, 1, h, w)) > 0.5).astype(np.float64)
-
-
-def _probs2(rng, n, h, w, lo=0.05, hi=0.95):
-    a = rng.uniform(lo, hi, size=(n, 1, h, w))
-    return np.concatenate([a, 1.0 - a], axis=1)
-
-
-def _build_ce_loss(rng):
-    n, h, w = int(rng.integers(1, 3)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
-    gt = _mask(rng, n, h, w)
-    arrays = {"logits": rng.normal(size=(n, 2, h, w))}
-    return arrays, lambda t: L.ce_loss(t["logits"], gt)
-
-
-def _build_bce_loss(rng):
-    n, h, w = int(rng.integers(1, 3)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
-    gt = _mask(rng, n, h, w)
-    arrays = {"p": rng.uniform(0.05, 0.95, size=(n, 1, h, w))}
-    return arrays, lambda t: L.bce_loss(t["p"], gt)
-
-
 def _build_mae_loss(rng):
-    n, h, w = int(rng.integers(1, 3)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
+    n, h, w = _nhw(rng)
     p_s = _probs2(rng, n, h, w, 0.2, 0.8)
     # keep the student strictly off the teacher so |d| has no kink in reach
     gap = rng.uniform(0.01, 0.1, size=p_s.shape) * rng.choice([-1.0, 1.0], size=p_s.shape)
@@ -236,24 +218,6 @@ def _build_mae_loss(rng):
     bad = np.abs(p_s - p_t) < 5e-3
     p_t[bad] = p_s[bad] + 5e-3
     return {"p_s": p_s}, lambda t: L.mae_loss(t["p_s"], p_t)
-
-
-def _build_mse_loss(rng):
-    n, h, w = int(rng.integers(1, 3)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
-    p_t = _probs2(rng, n, h, w)
-    return {"p_s": _probs2(rng, n, h, w)}, lambda t: L.mse_loss(t["p_s"], p_t)
-
-
-def _build_kl_loss(rng):
-    n, h, w = int(rng.integers(1, 3)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
-    p_t = _probs2(rng, n, h, w, 0.1, 0.9)
-    return {"p_s": _probs2(rng, n, h, w, 0.1, 0.9)}, lambda t: L.kl_loss(t["p_s"], p_t)
-
-
-def _build_soft_miou_loss(rng):
-    n, h, w = int(rng.integers(1, 3)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
-    gt = _mask(rng, n, h, w)
-    return {"p_s": _probs2(rng, n, h, w)}, lambda t: L.soft_miou_loss(t["p_s"], gt)
 
 
 def _build_fuse_multiscale(rng):
@@ -289,39 +253,37 @@ def _build_student(rng):
 # name -> (builder, sample_elements or None for exhaustive)
 REGISTRY: dict[str, tuple[Callable, int | None]] = {
     "conv2d": (_build_conv, None),
-    "channel_avg_pool": (_build_channel_avg_pool, None),
-    "channel_max_pool": (_build_channel_max_pool, None),
-    "channel_mean": (_build_channel_mean, None),
+    "channel_avg_pool": (lambda rng: _channel_pool(rng, T.channel_avg_pool), None),
+    "channel_max_pool": (lambda rng: _channel_pool(rng, T.channel_max_pool, clear_winner=True), None),
+    "channel_mean": (lambda rng: _unary(rng, T.channel_mean), None),
     "bilinear_resize": (_build_bilinear_resize, None),
-    "relu": (_build_relu, None),
-    "tanh": (_build_tanh, None),
-    "sigmoid": (_build_sigmoid, None),
+    "relu": (lambda rng: _unary(rng, T.relu, _signed_away_from_zero), None),
+    "tanh": (lambda rng: _unary(rng, T.tanh), None),
+    "sigmoid": (lambda rng: _unary(rng, T.sigmoid), None),
     "add": (_build_add, None),
     "mul_broadcast": (_build_mul_broadcast, None),
     "scale": (_build_scale, None),
     "concat_channel": (_build_concat_channel, None),
     "softmax_channel": (_build_softmax_channel, None),
-    "sum_all": (_build_sum_all, None),
-    "ce_loss": (_build_ce_loss, None),
-    "bce_loss": (_build_bce_loss, None),
+    "sum_all": (lambda rng: _unary(rng, T.sum_all), None),
+    "ce_loss": (lambda rng: _gt_loss(rng, L.ce_loss, lambda r, n, h, w: r.normal(size=(n, 2, h, w))), None),
+    "bce_loss": (lambda rng: _gt_loss(rng, L.bce_loss, lambda r, n, h, w: r.uniform(0.05, 0.95, (n, 1, h, w))), None),
     "mae_loss": (_build_mae_loss, None),
-    "mse_loss": (_build_mse_loss, None),
-    "kl_loss": (_build_kl_loss, None),
-    "soft_miou_loss": (_build_soft_miou_loss, None),
+    "mse_loss": (lambda rng: _teacher_loss(rng, L.mse_loss, 0.05, 0.95), None),
+    "kl_loss": (lambda rng: _teacher_loss(rng, L.kl_loss, 0.1, 0.9), None),
+    "soft_miou_loss": (lambda rng: _gt_loss(rng, L.soft_miou_loss, _probs2), None),
     "fuse_multiscale": (_build_fuse_multiscale, 60),
     "student_forward": (_build_student, 24),
 }
 
 
-def check_op(
-    name: str,
-    instances: int = DEFAULT_INSTANCES,
-    seed: int = 0,
-    step: float = DEFAULT_STEP,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> OpReport:
+def check_op(name: str, instances: int = DEFAULT_INSTANCES, seed: int = 0) -> OpReport:
     if name not in REGISTRY:
         raise ConfigError(f"unknown gradcheck op {name!r}, expected one of {sorted(REGISTRY)}")
+    if instances < 1:
+        raise ConfigError(f"gradcheck needs at least one instance, got {instances}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     builder, sample = REGISTRY[name]
     start = time.perf_counter()
     worst = 0.0
@@ -329,20 +291,15 @@ def check_op(
         rng = np.random.default_rng([seed, zlib.crc32(name.encode()), i])
         arrays, fn = builder(rng)
         arrays = {k: np.asarray(v, dtype=REAL64) for k, v in arrays.items()}
-        worst = max(worst, check_instance(arrays, fn, rng, step=step, sample_elements=sample))
+        worst = max(worst, check_instance(arrays, fn, rng, sample_elements=sample))
     return OpReport(
         op=name,
         instances=instances,
         max_rel_err=worst,
-        passed=worst < threshold,
+        passed=worst < THRESHOLD,
         seconds=time.perf_counter() - start,
     )
 
 
-def check_all(
-    names: list[str] | None = None,
-    instances: int = DEFAULT_INSTANCES,
-    seed: int = 0,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> list[OpReport]:
-    return [check_op(n, instances=instances, seed=seed, threshold=threshold) for n in (names or list(REGISTRY))]
+def check_all(instances: int = DEFAULT_INSTANCES, seed: int = 0) -> list[OpReport]:
+    return [check_op(n, instances=instances, seed=seed) for n in REGISTRY]

@@ -2,7 +2,7 @@
 
 Each loss is a single tape record with a closed-form gradient, so the
 backward pass costs one vectorized expression instead of replaying a chain
-of primitive ops.  All losses return a (1,1,1,1) scalar tensor and are mean
+of primitive ops; `_mean_loss` emits all of them.  All losses return a (1,1,1,1) scalar tensor and are mean
 reductions, making their magnitude independent of batch and image size.
 
 Ground truth enters as a plain integer/float array, never as a tensor, so
@@ -65,8 +65,15 @@ def _check_gt(gt: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
     return gt.astype(np.int64)
 
 
-def _scalar(x: np.ndarray, dtype) -> np.ndarray:
-    return np.asarray(x, dtype=dtype).reshape(1, 1, 1, 1)
+def _mean_loss(op: str, x: T.Tensor, value, count: int, local_grad) -> T.Tensor:
+    """Emit the scalar loss value; backward adds local_grad() * gout / count to x."""
+    out = np.asarray(value, dtype=x.dtype).reshape(1, 1, 1, 1)
+
+    def backward(gout: np.ndarray):
+        if x.requires_grad:
+            T._accum(x, local_grad() * (float(gout.reshape(())) / count))
+
+    return T._emit(op, out, backward)
 
 
 def _teacher_data(p_t) -> np.ndarray:
@@ -87,17 +94,14 @@ def ce_loss(logits: T.Tensor, gt: np.ndarray) -> T.Tensor:
     lse = m + np.log(se)
     z_true = np.take_along_axis(z, y, axis=1)
     count = n * h * w
-    out = _scalar((lse - z_true).sum() / count, z.dtype)
     probs = e / se
 
-    def backward(gout: np.ndarray):
-        if logits.requires_grad:
-            onehot = np.zeros_like(z)
-            np.put_along_axis(onehot, y, 1.0, axis=1)
-            g = float(gout.reshape(())) / count
-            T._accum(logits, (probs - onehot) * g)
+    def local_grad():
+        onehot = np.zeros_like(z)
+        np.put_along_axis(onehot, y, 1.0, axis=1)
+        return probs - onehot
 
-    return T._emit("ce_loss", out, backward)
+    return _mean_loss("ce_loss", logits, (lse - z_true).sum() / count, count, local_grad)
 
 
 def bce_loss(s_hat: T.Tensor, gt: np.ndarray) -> T.Tensor:
@@ -109,15 +113,11 @@ def bce_loss(s_hat: T.Tensor, gt: np.ndarray) -> T.Tensor:
     p = s_hat.data
     pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
     count = p.size
-    out = _scalar(-(y * np.log(pc) + (1.0 - y) * np.log1p(-pc)).sum() / count, p.dtype)
     live = (p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)  # clamp kills the gradient outside
-
-    def backward(gout: np.ndarray):
-        if s_hat.requires_grad:
-            g = float(gout.reshape(())) / count
-            T._accum(s_hat, np.where(live, (pc - y) / (pc * (1.0 - pc)), 0.0) * g)
-
-    return T._emit("bce_loss", out, backward)
+    return _mean_loss(
+        "bce_loss", s_hat, -(y * np.log(pc) + (1.0 - y) * np.log1p(-pc)).sum() / count, count,
+        lambda: np.where(live, (pc - y) / (pc * (1.0 - pc)), 0.0),
+    )
 
 
 def _check_prob_pair(p_s: T.Tensor, p_t: np.ndarray, op: str) -> np.ndarray:
@@ -130,30 +130,14 @@ def mae_loss(p_s: T.Tensor, p_t) -> T.Tensor:
     """Mean absolute difference between student and (detached) teacher maps."""
     t = _check_prob_pair(p_s, _teacher_data(p_t), "mae_loss")
     d = p_s.data - t
-    count = d.size
-    out = _scalar(np.abs(d).sum() / count, d.dtype)
-
-    def backward(gout: np.ndarray):
-        if p_s.requires_grad:
-            g = float(gout.reshape(())) / count
-            T._accum(p_s, np.sign(d) * g)
-
-    return T._emit("mae_loss", out, backward)
+    return _mean_loss("mae_loss", p_s, np.abs(d).sum() / d.size, d.size, lambda: np.sign(d))
 
 
 def mse_loss(p_s: T.Tensor, p_t) -> T.Tensor:
     """Mean squared difference between student and (detached) teacher maps."""
     t = _check_prob_pair(p_s, _teacher_data(p_t), "mse_loss")
     d = p_s.data - t
-    count = d.size
-    out = _scalar((d * d).sum() / count, d.dtype)
-
-    def backward(gout: np.ndarray):
-        if p_s.requires_grad:
-            g = float(gout.reshape(())) / count
-            T._accum(p_s, 2.0 * d * g)
-
-    return T._emit("mse_loss", out, backward)
+    return _mean_loss("mse_loss", p_s, (d * d).sum() / d.size, d.size, lambda: 2.0 * d)
 
 
 def kl_loss(p_s: T.Tensor, p_t) -> T.Tensor:
@@ -168,18 +152,14 @@ def kl_loss(p_s: T.Tensor, p_t) -> T.Tensor:
     tc = np.clip(t, CLAMP_EPS, 1.0)
     sc = np.clip(p_s.data, CLAMP_EPS, 1.0)
     count = n * h * w
-    out = _scalar((tc * (np.log(tc) - np.log(sc))).sum() / count, sc.dtype)
     live = (p_s.data > CLAMP_EPS) & (p_s.data < 1.0)
-
-    def backward(gout: np.ndarray):
-        if p_s.requires_grad:
-            g = float(gout.reshape(())) / count
-            T._accum(p_s, np.where(live, -tc / sc, 0.0) * g)
-
-    return T._emit("kl_loss", out, backward)
+    return _mean_loss(
+        "kl_loss", p_s, (tc * (np.log(tc) - np.log(sc))).sum() / count, count,
+        lambda: np.where(live, -tc / sc, 0.0),
+    )
 
 
-def soft_miou_loss(p_s: T.Tensor, gt: np.ndarray, smooth: float = 1.0) -> T.Tensor:
+def soft_miou_loss(p_s: T.Tensor, gt: np.ndarray) -> T.Tensor:
     """One minus the smoothed soft IoU averaged over the two classes.
 
     Per class: (sum p*y + s) / (sum (p + y - p*y) + s) with all sums over the
@@ -192,20 +172,17 @@ def soft_miou_loss(p_s: T.Tensor, gt: np.ndarray, smooth: float = 1.0) -> T.Tens
     p = p_s.data
     y = np.zeros_like(p)
     np.put_along_axis(y, yidx, 1.0, axis=1)
-    inter = (p * y).sum(axis=(0, 2, 3)) + smooth  # per class
-    union = (p + y - p * y).sum(axis=(0, 2, 3)) + smooth
+    inter = (p * y).sum(axis=(0, 2, 3)) + 1.0  # per class
+    union = (p + y - p * y).sum(axis=(0, 2, 3)) + 1.0
     iou = inter / union
-    out = _scalar(1.0 - iou.sum() / c, p.dtype)
 
-    def backward(gout: np.ndarray):
-        if p_s.requires_grad:
-            g = float(gout.reshape(())) / c
-            num = inter.reshape(1, c, 1, 1)
-            den = union.reshape(1, c, 1, 1)
-            diou = (y * den - num * (1.0 - y)) / (den * den)
-            T._accum(p_s, -diou * g)
+    def local_grad():
+        num = inter.reshape(1, c, 1, 1)
+        den = union.reshape(1, c, 1, 1)
+        diou = (y * den - num * (1.0 - y)) / (den * den)
+        return -diou
 
-    return T._emit("soft_miou_loss", out, backward)
+    return _mean_loss("soft_miou_loss", p_s, 1.0 - iou.sum() / c, c, local_grad)
 
 
 @dataclass

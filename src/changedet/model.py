@@ -159,10 +159,6 @@ def init_params(config: ModelConfig, seed: int = 0, dtype=REAL32) -> dict[str, T
     return params
 
 
-def count_params(params: dict[str, Tensor]) -> int:
-    return sum(p.numel() for p in params.values())
-
-
 @dataclass
 class PyramidFeatures:
     """Encoder outputs at strides 4, 8, 16, 32 with widths C1..C4."""
@@ -194,7 +190,6 @@ class ModelOutputs:
     probs: Tensor  # per-pixel softmax of logits
     boundary: Tensor  # (N,1,H,W) sigmoid auxiliary map
     fused: Tensor  # (N,C1+C4,H/4,W/4)
-    fused_mean: Tensor  # (N,1,H/4,W/4) channel mean of fused
 
 
 def _spec_map(config: ModelConfig) -> dict[str, ConvSpec]:
@@ -334,11 +329,8 @@ class ChangeDetector:
                         raise ConfigError(f"parameter {name!r} has shape {params[name].shape}, config expects {shape}")
         self.params = params
 
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
     def num_params(self) -> int:
-        return count_params(self.params)
+        return sum(p.numel() for p in self.params.values())
 
     def _as_input(self, x) -> Tensor:
         if not isinstance(x, Tensor):
@@ -363,7 +355,7 @@ class ChangeDetector:
             fused, fused_mean, _ = naive_fuse(self.params, pyr, self.config)
         del pyr, _  # the head reads only the fused maps; freeing the rest first lowers peak memory
         logits, probs, boundary = head_forward(self.params, self.config, fused, fused_mean, (h, w))
-        return ModelOutputs(logits=logits, probs=probs, boundary=boundary, fused=fused, fused_mean=fused_mean)
+        return ModelOutputs(logits=logits, probs=probs, boundary=boundary, fused=fused)
 
 
 def predict_mask(probs) -> np.ndarray:

@@ -74,14 +74,6 @@ class LatencyReport:
         return self.runs < 2
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
-    params: ParamCount
-    flops: FlopReport
-    latency: LatencyReport
-    input_size: tuple[int, int]
-
-
 def param_counts(params: dict[str, Tensor]) -> ParamCount:
     """Total parameter count plus a per-submodule breakdown."""
     buckets = {"stem": 0, "encoder": 0, "fusion": 0, "head": 0}
@@ -162,19 +154,4 @@ def measure_latency(
         warmups=warmups,
         samples_ms=tuple(samples),
         environment=environment_info(),
-    )
-
-
-def profile_model(
-    model: ChangeDetector,
-    input_size: tuple[int, int] | None = None,
-    warmups: int = 5,
-    runs: int = 50,
-) -> ComplexityReport:
-    h, w = input_size if input_size is not None else model.config.input_size
-    return ComplexityReport(
-        params=param_counts(model.params),
-        flops=count_flops(model.config, (h, w)),
-        latency=measure_latency(model, (h, w), warmups=warmups, runs=runs),
-        input_size=(h, w),
     )

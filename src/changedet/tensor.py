@@ -79,11 +79,9 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = True, dtype=None):
+    def __init__(self, data, requires_grad: bool = True):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (REAL32, REAL64):
+        if arr.dtype not in (REAL32, REAL64):
             arr = arr.astype(REAL32)
         if arr.ndim != 4:
             raise ShapeError(f"tensors are rank-4 (N,C,H,W), got shape {arr.shape}")

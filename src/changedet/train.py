@@ -181,14 +181,13 @@ def oracle_teacher_predict(gt: np.ndarray, smoothing: float = 0.1, blur_sigma: f
 
 
 class OracleTeacher:
-    """Deterministic teacher for reproducible runs without a trained model."""
+    """Deterministic teacher for reproducible runs without a trained model.
 
-    def __init__(self, smoothing: float = 0.1, blur_sigma: float = 0.0):
-        self.smoothing = smoothing
-        self.blur_sigma = blur_sigma
+    It predicts the ground truth with label smoothing 0.1 and no blur.
+    """
 
     def predict(self, pre, post, gt) -> np.ndarray:
-        return oracle_teacher_predict(gt, self.smoothing, self.blur_sigma)
+        return oracle_teacher_predict(gt)
 
 
 class ModelTeacher:
@@ -270,7 +269,7 @@ def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=No
     val_index = load_index(data_root, "val")
     if len(train_index) == 0 or len(val_index) == 0:
         raise DataError("training needs non-empty train and val splits")
-    params = student.parameters()
+    params = student.params
     state = init_state(params)
     batches_per_epoch = math.ceil(len(train_index) / config.batch_size)
     total_steps = config.epochs * batches_per_epoch

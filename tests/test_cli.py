@@ -8,13 +8,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from changedet.checkpoint import load_checkpoint
+from changedet.checkpoint import load_checkpoint, save_checkpoint
 from changedet.cli import main
 from changedet.config import parse_run_config
 from changedet.data import SynthConfig, generate_synthetic_dataset, load_index, sample_paths
 from changedet.gradcheck import OpReport
 from changedet.metrics import ConfusionCounts, confusion_from_masks
-from changedet.model import preset
+from changedet.model import ChangeDetector, preset
 from changedet.netpbm import load_pgm, save_ppm
 
 
@@ -421,6 +421,46 @@ def test_gradcheck_failure_exits_nonzero(capsys, monkeypatch):
     assert code == 1
     assert "FAIL relu" in out
     assert "0 of 1 ops passed" in out
+
+
+# ---------------------------------------------------------------------------
+# malformed input ends in one error line and exit 2
+
+
+def _non_utf8_config(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"[model]\npreset = nano\n; \xff\n")
+    return ["bench", "--config", cfg, "--size", 32, "--runs", 1, "--warmup", 0]
+
+
+def _non_utf8_manifest(tmp_path):
+    ckpt = tmp_path / "nano.ckpt"
+    save_checkpoint(ChangeDetector(preset("nano")), ckpt)
+    (tmp_path / "data" / "test").mkdir(parents=True)
+    (tmp_path / "data" / "test" / "manifest.txt").write_bytes(b"\xff\n")
+    return ["eval", "--ckpt", ckpt, "--data", tmp_path / "data"]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        lambda tmp_path: ["gradcheck", "--op", "relu", "--instances", 0],
+        lambda tmp_path: ["gradcheck", "--instances", -3],
+        lambda tmp_path: ["gradcheck", "--op", "relu", "--seed", -1],
+        lambda tmp_path: ["synth", "--out", tmp_path / "ds", "--size", 32, "--seed", -1],
+        _non_utf8_config,
+        _non_utf8_manifest,
+    ],
+    ids=[
+        "gradcheck-zero-instances", "gradcheck-negative-instances", "gradcheck-negative-seed",
+        "synth-negative-seed", "non-utf8-config", "non-utf8-manifest",
+    ],
+)
+def test_malformed_input_exits_2_with_one_error_line(capsys, tmp_path, make_argv):
+    code, _, err = run_cli(capsys, *make_argv(tmp_path))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from changedet.profiling import (
     count_flops,
     measure_latency,
     param_counts,
-    profile_model,
 )
 from changedet.tensor import FlopCounter, Tensor
 
@@ -62,6 +61,10 @@ class TestCountFlops:
         assert sum(r.by_op.values()) == r.total
         assert r.total > 0
 
+    def test_input_size_defaults_to_the_config(self):
+        config = preset("nano", input_size=(64, 32))
+        assert count_flops(config).input_size == config.input_size == (64, 32)
+
     def test_matches_flops_of_an_actual_forward(self):
         config = preset("nano", input_size=(32, 32))
         model = ChangeDetector(config, seed=3)
@@ -97,12 +100,14 @@ class TestMeasureLatency:
     def test_single_run_reports_its_only_sample(self):
         model = ChangeDetector(preset("nano", input_size=(32, 32)))
         r = measure_latency(model, warmups=0, runs=1)
+        assert r.runs == 1
         assert r.latency_ms == r.samples_ms[0]
         assert r.low_confidence
 
     def test_median_of_runs(self):
         model = ChangeDetector(preset("nano", input_size=(32, 32)))
         r = measure_latency(model, warmups=1, runs=3)
+        assert (r.runs, r.warmups, len(r.samples_ms)) == (3, 1, 3)
         assert r.latency_ms == sorted(r.samples_ms)[1]
         assert not r.low_confidence
         assert all(s > 0 for s in r.samples_ms)
@@ -119,12 +124,3 @@ class TestMeasureLatency:
             measure_latency(model, runs=0)
         with pytest.raises(ConfigError):
             measure_latency(model, warmups=-1)
-
-
-class TestProfileModel:
-    def test_report_is_internally_consistent(self):
-        model = ChangeDetector(preset("nano", input_size=(32, 32)))
-        r = profile_model(model, warmups=0, runs=1)
-        assert r.params.total == model.num_params()
-        assert r.flops.input_size == r.input_size == (32, 32)
-        assert r.latency.runs == 1
