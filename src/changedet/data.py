@@ -213,7 +213,14 @@ def load_index(root, split: str) -> DatasetIndex:
         text = manifest.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"manifest {manifest} is not valid UTF-8: {exc}")
-    ids = [line.strip() for line in text.splitlines() if line.strip()]
+    ids = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        sample_id = line.strip()
+        # an id names one file per folder; a path in it would reach outside the dataset root
+        if "/" in sample_id or "\\" in sample_id or sample_id in (".", ".."):
+            raise DataError(f"{manifest}:{lineno}: sample id {sample_id!r} is not a single path component")
+        if sample_id:
+            ids.append(sample_id)
     return DatasetIndex(root=root, split=split, ids=ids)
 
 
@@ -250,6 +257,10 @@ def batch_iter(index: DatasetIndex, batch_size: int, seed: int = 0, shuffle: boo
     for start in range(0, len(order), batch_size):
         chunk = [index.ids[j] for j in order[start : start + batch_size]]
         samples = [load_sample(index, sid) for sid in chunk]
+        shapes = [s.pre.shape[1:] for s in samples]
+        for sid, shape in zip(chunk, shapes):
+            if shape != shapes[0]:
+                raise DataError(f"batch mixes image sizes: sample {chunk[0]!r} is {shapes[0]}, sample {sid!r} is {shape}")
         pre = np.stack([s.pre for s in samples])
         post = np.stack([s.post for s in samples])
         mask = np.stack([s.mask for s in samples])

@@ -347,14 +347,18 @@ class ChangeDetector:
         n, c, h, w = pre.shape
         if h % 32 or w % 32:
             raise ShapeError(f"input H and W must be multiples of 32, got {h}x{w}")
-        f = stem_forward(self.params, self.config, pre, post)
-        pyr = encoder_forward(self.params, self.config, f)
-        if self.config.fusion_mode == "emff":
-            fused, fused_mean, _ = emff_fuse(pyr, self.config.encoder_widths)
-        else:
-            fused, fused_mean, _ = naive_fuse(self.params, pyr, self.config)
+        with T.stage("stem"):
+            f = stem_forward(self.params, self.config, pre, post)
+        with T.stage("encoder"):
+            pyr = encoder_forward(self.params, self.config, f)
+        with T.stage("fusion"):
+            if self.config.fusion_mode == "emff":
+                fused, fused_mean, _ = emff_fuse(pyr, self.config.encoder_widths)
+            else:
+                fused, fused_mean, _ = naive_fuse(self.params, pyr, self.config)
         del pyr, _  # the head reads only the fused maps; freeing the rest first lowers peak memory
-        logits, probs, boundary = head_forward(self.params, self.config, fused, fused_mean, (h, w))
+        with T.stage("head"):
+            logits, probs, boundary = head_forward(self.params, self.config, fused, fused_mean, (h, w))
         return ModelOutputs(logits=logits, probs=probs, boundary=boundary, fused=fused)
 
 

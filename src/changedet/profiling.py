@@ -1,9 +1,9 @@
 """Parameter, FLOP, and latency accounting for the detector.
 
-FLOPs are counted by replaying a real batch-of-one forward pass under
-op-site counters, so the report reflects the ops actually executed
-(resampling, gating, softmax included) rather than a shadow shape
-program that could drift from the implementation.
+FLOPs are counted over one real batch-of-one forward pass under op-site
+counters and split by the stage label each op ran in, so the report reflects
+the ops actually executed (resampling, gating, softmax included) rather than
+a shadow shape program that could drift from the implementation.
 """
 
 from __future__ import annotations
@@ -11,21 +11,12 @@ from __future__ import annotations
 import platform
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import (
-    ChangeDetector,
-    ModelConfig,
-    emff_fuse,
-    encoder_forward,
-    head_forward,
-    init_params,
-    naive_fuse,
-    stem_forward,
-)
+from .model import ChangeDetector, ModelConfig
 from .tensor import REAL32, FlopCounter, Tensor
 
 _SUBMODULES = {
@@ -86,35 +77,14 @@ def param_counts(params: dict[str, Tensor]) -> ParamCount:
 
 
 def count_flops(config: ModelConfig, input_size: tuple[int, int] | None = None) -> FlopReport:
-    """Count forward FLOPs per stage by running each stage under a counter.
-
-    Parameter values do not affect counts, so a fresh seed-0 model is used.
-    """
-    h, w = input_size if input_size is not None else config.input_size
-    if h % 32 or w % 32 or h < 32 or w < 32:
-        raise ConfigError(f"input size must be a positive multiple of 32, got {h}x{w}")
-    params = init_params(config, seed=0)
-    pre = Tensor(np.zeros((1, 3, h, w), dtype=REAL32), requires_grad=False)
-    post = Tensor(np.zeros((1, 3, h, w), dtype=REAL32), requires_grad=False)
-    stages: dict[str, int] = {}
-    by_op: dict[str, int] = {}
-
-    def run(stage, fn):
-        with FlopCounter() as counter:
-            result = fn()
-        stages[stage] = counter.total
-        for op, n in counter.by_op.items():
-            by_op[op] = by_op.get(op, 0) + n
-        return result
-
-    f = run("stem", lambda: stem_forward(params, config, pre, post))
-    pyr = run("encoder", lambda: encoder_forward(params, config, f))
-    if config.fusion_mode == "emff":
-        fused, fused_mean, _ = run("fusion", lambda: emff_fuse(pyr, config.encoder_widths))
-    else:
-        fused, fused_mean, _ = run("fusion", lambda: naive_fuse(params, pyr, config))
-    run("head", lambda: head_forward(params, config, fused, fused_mean, (h, w)))
-    return FlopReport(total=sum(stages.values()), by_op=by_op, input_size=(h, w), **stages)
+    """FLOPs of one forward pass of a fresh seed-0 model on zero images, split by stage."""
+    if input_size is not None:
+        config = replace(config, input_size=input_size)
+    zeros = np.zeros((1, 3, *config.input_size), dtype=REAL32)
+    with FlopCounter() as counter:
+        ChangeDetector(config).forward(zeros, zeros)
+    stages = {name: counter.by_stage[name] for name in ("stem", "encoder", "fusion", "head")}
+    return FlopReport(total=counter.total, by_op=counter.by_op, input_size=config.input_size, **stages)
 
 
 def environment_info() -> dict[str, str]:

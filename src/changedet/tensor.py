@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import threading
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,8 +41,21 @@ def active_tape():
     return getattr(_tls, "tape", None)
 
 
+@contextmanager
+def stage(name: str):
+    """Label the ops run inside as one pipeline stage; the previous label returns on exit."""
+    previous = getattr(_tls, "stage", None)
+    _tls.stage = name
+    try:
+        yield
+    finally:
+        _tls.stage = previous
+
+
 class FlopCounter:
-    """Accumulates forward-pass FLOPs of ops executed while active.
+    """Accumulates forward-pass FLOPs of ops executed while active: in total,
+    by op name (``by_op``) and by the :func:`stage` label each op ran in
+    (``by_stage``, keyed None outside any stage).
 
     Convention (documented, not universal): a multiply-accumulate is 2 FLOPs;
     a convolution additionally pays 1 FLOP per output element for its bias;
@@ -53,6 +67,7 @@ class FlopCounter:
     def __init__(self):
         self.total = 0
         self.by_op: dict[str, int] = {}
+        self.by_stage: dict[str | None, int] = {}
 
     def __enter__(self) -> "FlopCounter":
         if getattr(_tls, "flops", None) is not None:
@@ -67,6 +82,8 @@ class FlopCounter:
     def _add(self, op: str, n: int):
         self.total += n
         self.by_op[op] = self.by_op.get(op, 0) + n
+        label = getattr(_tls, "stage", None)
+        self.by_stage[label] = self.by_stage.get(label, 0) + n
 
 
 class Tensor:
@@ -170,7 +187,8 @@ def _emit(
 ) -> Tensor:
     # Silent NaN propagation is treated as a bug, not a value.
     if not np.isfinite(data).all():
-        raise NumericError(f"{op} produced non-finite values")
+        label = getattr(_tls, "stage", None)
+        raise NumericError(f"{op} produced non-finite values" + (f" in stage {label}" if label is not None else ""))
     out = Tensor(data)
     tape = active_tape()
     if tape is not None:

@@ -441,6 +441,36 @@ def _non_utf8_manifest(tmp_path):
     return ["eval", "--ckpt", ckpt, "--data", tmp_path / "data"]
 
 
+def _one_pair_test_split(tmp_path, name, size):
+    root = tmp_path / name
+    generate_synthetic_dataset(SynthConfig(image_size=size, train_count=0, val_count=0, test_count=1, seed=1), root)
+    return root
+
+
+def _mixed_size_test_split(tmp_path):
+    ckpt = tmp_path / "nano.ckpt"
+    save_checkpoint(ChangeDetector(preset("nano")), ckpt)
+    root = _one_pair_test_split(tmp_path, "data", 32)
+    big = _one_pair_test_split(tmp_path, "big", 64)
+    for src, dst in zip(sample_paths(big, "test", "test_00000"), sample_paths(root, "test", "big")):
+        dst.write_bytes(src.read_bytes())
+    (root / "test" / "manifest.txt").write_text("test_00000\nbig\n", encoding="utf-8")
+    return ["eval", "--ckpt", ckpt, "--data", root]
+
+
+def _manifest_id_outside_root(tmp_path):
+    ckpt = tmp_path / "nano.ckpt"
+    save_checkpoint(ChangeDetector(preset("nano")), ckpt)
+    root = _one_pair_test_split(tmp_path, "data", 32)
+    # A, B and label of this id all resolve to real files under tmp_path/outside
+    a, _, label = sample_paths(root, "test", "test_00000")
+    (tmp_path / "outside").mkdir()
+    (tmp_path / "outside" / "x.ppm").write_bytes(a.read_bytes())
+    (tmp_path / "outside" / "x.pgm").write_bytes(label.read_bytes())
+    (root / "test" / "manifest.txt").write_text("../../../outside/x\n", encoding="utf-8")
+    return ["eval", "--ckpt", ckpt, "--data", root]
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
@@ -450,10 +480,13 @@ def _non_utf8_manifest(tmp_path):
         lambda tmp_path: ["synth", "--out", tmp_path / "ds", "--size", 32, "--seed", -1],
         _non_utf8_config,
         _non_utf8_manifest,
+        _mixed_size_test_split,
+        _manifest_id_outside_root,
     ],
     ids=[
         "gradcheck-zero-instances", "gradcheck-negative-instances", "gradcheck-negative-seed",
         "synth-negative-seed", "non-utf8-config", "non-utf8-manifest",
+        "eval-mixed-image-sizes", "manifest-id-outside-root",
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(capsys, tmp_path, make_argv):

@@ -166,6 +166,14 @@ class TestGenerateDataset:
         with pytest.raises(DataError):
             D.load_index(tmp_path, "train")
 
+    @pytest.mark.parametrize("bad_id", ["../../../outside/x", "a/b", "/abs", "a\\b", "..", "."])
+    def test_manifest_id_must_be_one_path_component(self, tmp_path, bad_id):
+        D.generate_synthetic_dataset(small_cfg(), tmp_path)
+        manifest = tmp_path / "val" / "manifest.txt"
+        manifest.write_text(f"val_00000\n\n{bad_id}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"manifest\.txt:3: sample id .* is not a single path component"):
+            D.load_index(tmp_path, "val")
+
     def test_missing_file_names_the_id(self, tmp_path):
         idx_all = D.generate_synthetic_dataset(small_cfg(), tmp_path)
         idx = idx_all["test"]
@@ -214,6 +222,18 @@ class TestBatchIter:
         assert order(5, 0) != order(5, 1)
         assert order(5, 0) != order(6, 0)
         assert sorted(order(5, 0)) == sorted(dataset.ids)
+
+    def test_mixed_image_sizes_name_both_samples(self, tmp_path):
+        D.generate_synthetic_dataset(small_cfg(train_count=0, val_count=0, test_count=2), tmp_path / "a")
+        D.generate_synthetic_dataset(small_cfg(image_size=64, train_count=0, val_count=0), tmp_path / "b")
+        for src, dst in zip(D.sample_paths(tmp_path / "b", "test", "test_00000"),
+                            D.sample_paths(tmp_path / "a", "test", "big")):
+            dst.write_bytes(src.read_bytes())
+        (tmp_path / "a" / "test" / "manifest.txt").write_text("test_00000\ntest_00001\nbig\n", encoding="utf-8")
+        index = D.load_index(tmp_path / "a", "test")
+        assert [ids for _, _, _, ids in D.batch_iter(index, 2)][0] == ["test_00000", "test_00001"]
+        with pytest.raises(DataError, match=r"'test_00000' is \(32, 32\), sample 'big' is \(64, 64\)"):
+            list(D.batch_iter(index, 3))
 
     def test_bad_batch_size(self, dataset):
         with pytest.raises(ConfigError):

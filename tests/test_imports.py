@@ -1,5 +1,6 @@
 """Every module under src/changedet/ uses each name it imports at top level,
-and every private top-level helper is referenced somewhere in the package."""
+every private top-level helper is referenced somewhere in the package, and
+every op the package emits has a finite-difference gradient check."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import changedet
+from changedet.gradcheck import REGISTRY
 
 MODULES = sorted(Path(changedet.__file__).parent.glob("*.py"))
 TREES = {p: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
@@ -56,3 +58,32 @@ def references(trees) -> set[str]:
 def test_private_helpers_are_referenced(path):
     refs = references(TREES.values())
     assert [name for name in private_definitions(TREES[path]) if name not in refs] == []
+
+
+EMITTERS = ("_emit", "_mean_loss")
+
+
+def emitted_op_names(tree: ast.Module) -> list[str]:
+    """Op names passed to ``_emit`` or ``_mean_loss``: string literals as they
+    are, any other argument as its source text, except where an emitter
+    forwards its own op parameter."""
+    names = []
+    for top in tree.body:
+        forwarded = top.args.args[0].arg if isinstance(top, ast.FunctionDef) and top.name in EMITTERS else None
+        for call in ast.walk(top):
+            if not isinstance(call, ast.Call):
+                continue
+            if (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) not in EMITTERS:
+                continue
+            op = call.args[0]
+            if isinstance(op, ast.Constant) and isinstance(op.value, str):
+                names.append(op.value)
+            elif not (isinstance(op, ast.Name) and op.id == forwarded):
+                names.append(ast.unparse(op))
+    return names
+
+
+def test_every_emitted_op_has_a_gradient_check():
+    names = {name for tree in TREES.values() for name in emitted_op_names(tree)}
+    assert {"conv2d", "ce_loss"} <= names  # both emitters are seen
+    assert sorted(names - set(REGISTRY)) == []

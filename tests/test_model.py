@@ -10,7 +10,7 @@ import pytest
 from changedet import model as M
 from changedet import tensor as T
 from changedet.config import model_text, parse_model_text
-from changedet.errors import ConfigError, ShapeError
+from changedet.errors import ConfigError, NumericError, ShapeError
 from changedet.losses import LossSelection, LossWeights, compute_losses
 from changedet.tensor import Tensor
 
@@ -230,6 +230,17 @@ class TestHeadAndFullForward:
         pre, post = rand_pair(seed=25)
         out = net.forward(pre, post)
         np.testing.assert_allclose(out.probs.data, 0.5, atol=1e-7)
+
+    @pytest.mark.parametrize(
+        "param, stage",
+        [("stem.pw.w", "stem"), ("enc2.down.b", "encoder"), ("fuse.proj.w", "fusion"), ("head.fc2.w", "head")],
+    )
+    def test_non_finite_weight_names_its_stage(self, param, stage):
+        net = M.ChangeDetector(M.preset("nano", fusion_mode="naive"), seed=26)
+        net.params[param].data[...] = np.nan
+        pre, post = rand_pair(seed=27)
+        with pytest.raises(NumericError, match=f"^conv2d produced non-finite values in stage {stage}$"):
+            net.forward(pre, post)
 
     def test_input_size_must_be_divisible(self):
         net = M.ChangeDetector(M.preset("nano"), seed=26)

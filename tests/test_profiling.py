@@ -75,6 +75,18 @@ class TestCountFlops:
             model.forward(pre, post)
         assert fc.total == count_flops(config).total
 
+    @pytest.mark.parametrize("mode", ["emff", "naive"])
+    def test_stages_match_the_stage_labels_of_an_actual_forward(self, mode):
+        config = preset("nano", input_size=(32, 32), fusion_mode=mode)
+        rng = np.random.default_rng(1)
+        pre = rng.random((1, 3, 32, 32), dtype=np.float32)
+        post = rng.random((1, 3, 32, 32), dtype=np.float32)
+        with FlopCounter() as fc:
+            ChangeDetector(config, seed=4).forward(pre, post)
+        r = count_flops(config)
+        assert fc.by_stage == {"stem": r.stem, "encoder": r.encoder, "fusion": r.fusion, "head": r.head}
+        assert fc.by_op == r.by_op
+
     def test_grows_with_input_size(self):
         small = count_flops(preset("tiny"), (64, 64)).total
         large = count_flops(preset("tiny"), (128, 128)).total

@@ -522,6 +522,27 @@ class TestTapeMechanics:
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             T.mul_broadcast(x, x)  # overflows float32 -> inf
 
+    def test_non_finite_error_names_the_active_stage(self):
+        x = T.Tensor(np.array([[[[np.nan]]]], np.float32))
+        with pytest.raises(NumericError, match=r"^relu produced non-finite values in stage encoder$"):
+            with T.stage("encoder"):
+                T.relu(x)
+        with pytest.raises(NumericError, match=r"^relu produced non-finite values$"):
+            T.relu(x)
+
+    def test_stage_restores_the_previous_label_on_exception(self):
+        x = T.Tensor(np.ones((1, 1, 2, 2), np.float32))
+        with T.FlopCounter() as fc:
+            with T.stage("outer"):
+                with pytest.raises(RuntimeError):
+                    with T.stage("inner"):
+                        T.relu(x)
+                        raise RuntimeError("boom")
+                T.relu(x)
+            T.relu(x)
+        assert fc.by_stage == {"inner": 4, "outer": 4, None: 4}
+        assert fc.by_op == {"relu": 12} and fc.total == 12
+
     def test_rank_enforced(self):
         with pytest.raises(ShapeError):
             T.Tensor(np.zeros((2, 3), np.float32))

@@ -1,9 +1,14 @@
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import changedet
 from changedet.checkpoint import save_checkpoint
 from changedet.data import BitemporalSample, SynthConfig, generate_synthetic_dataset, load_index
 from changedet.errors import ConfigError, DataError, TrainingDiverged
@@ -299,3 +304,26 @@ class TestEpochLogLine:
         line = entry.line()
         assert line.startswith("epoch=3 lr=0.00015 ")
         assert repr(2 / 3) in line
+
+
+def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    generate_synthetic_dataset(SynthConfig(image_size=32, train_count=6, val_count=2, test_count=0, seed=4), tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[model]\npreset = nano\n\n[train]\nepochs = 2\nbatch_size = 2\nseed = 0\n", encoding="utf-8")
+    src = str(Path(changedet.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        ckpt = tmp_path / f"threads{threads}.ckpt"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "changedet.cli", "train", "--config", str(cfg), "--data", str(tmp_path),
+             "--out", str(ckpt), "--oracle-teacher"],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        epochs = [line for line in proc.stdout.splitlines() if line.startswith("epoch=")]
+        assert len(epochs) == 2
+        runs.append((epochs, ckpt.read_bytes()))
+    assert runs[0][0] == runs[1][0]
+    assert runs[0][1] == runs[1][1]
