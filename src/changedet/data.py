@@ -213,15 +213,18 @@ def load_index(root, split: str) -> DatasetIndex:
         text = manifest.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"manifest {manifest} is not valid UTF-8: {exc}")
-    ids = []
+    first_line: dict[str, int] = {}  # id -> manifest line, in manifest order
     for lineno, line in enumerate(text.splitlines(), 1):
         sample_id = line.strip()
         # an id names one file per folder; a path in it would reach outside the dataset root
         if "/" in sample_id or "\\" in sample_id or sample_id in (".", ".."):
             raise DataError(f"{manifest}:{lineno}: sample id {sample_id!r} is not a single path component")
+        # a repeated id would be scored twice by eval and trained on twice per epoch
+        if sample_id in first_line:
+            raise DataError(f"{manifest}:{lineno}: sample id {sample_id!r} repeats line {first_line[sample_id]}")
         if sample_id:
-            ids.append(sample_id)
-    return DatasetIndex(root=root, split=split, ids=ids)
+            first_line[sample_id] = lineno
+    return DatasetIndex(root=root, split=split, ids=list(first_line))
 
 
 def load_sample(index: DatasetIndex, sample_id: str) -> BitemporalSample:

@@ -7,7 +7,9 @@ each op appends a backward closure; ``Tape.backward`` replays the closures
 in reverse execution order, so building the tape in forward order is all
 the topological sorting we ever need.  The tape is rebuilt on every forward
 pass (define-by-run).  Tensors hold no reference to the tape, so a step's
-graph is freed when its tape is dropped.
+graph is freed when its tape is dropped.  What only backward reads (relu
+masks, the max-pool argmax) is computed inside the backward closure, so a
+forward pass with no tape never builds it.
 
 Tensors are immutable by convention: ops return new tensors and never write
 into their inputs.  A tape and its backward pass belong to a single thread.
@@ -172,6 +174,8 @@ class Tape:
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    # Adds g into t's own buffer and keeps no reference to g, so callers may
+    # pass read-only or broadcast views without copying them first.
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -362,8 +366,13 @@ def _conv_grouped(x: Tensor, weight: Tensor, bias: Tensor | None, stride, paddin
 # ---------------------------------------------------------------------------
 # channel pooling / reduction
 
-# Group sums accumulate sequentially (not np.sum) so results are bit-equal
-# to a plain loop over the same dtype, which is what the oracle tests demand.
+# Channel sums are np.add.reduce over a non-inner axis.  While H*W > 1,
+# numpy adds the reduced axis one (H, W) slice at a time, so the result is
+# bit-equal to a plain loop over the same dtype, which the oracle tests
+# demand.  At H*W == 1 the axis becomes inner and numpy sums 8 or more
+# channels pairwise (float32 means of (2,144,1,1) inputs in [0, 1) differ
+# from the loop by up to 6e-7 relative); the model never pools at H*W == 1,
+# as fusion works at H/4 >= 8.
 
 
 def _group_view(x: Tensor, c_out: int, op: str):
@@ -377,28 +386,24 @@ def _group_view(x: Tensor, c_out: int, op: str):
 def channel_avg_pool(x: Tensor, c_out: int) -> Tensor:
     """Mean over contiguous channel groups of size C/c_out."""
     xs, g = _group_view(x, c_out, "channel_avg_pool")
-    acc = xs[:, :, 0].copy()
-    for j in range(1, g):
-        acc += xs[:, :, j]
-    out = acc / g
+    out = np.add.reduce(xs, axis=2) / g
 
     def backward(gout: np.ndarray):
         if x.requires_grad:
-            dx = np.broadcast_to((gout / g)[:, :, None], xs.shape).reshape(x.shape)
-            _accum(x, dx.copy())
+            _accum(x, np.broadcast_to((gout / g)[:, :, None], xs.shape).reshape(x.shape))
 
     return _emit("channel_avg_pool", out, backward)
 
 
 def channel_max_pool(x: Tensor, c_out: int) -> Tensor:
     """Max over contiguous channel groups; gradient goes to the first argmax."""
-    xs, g = _group_view(x, c_out, "channel_max_pool")
-    idx = xs.argmax(axis=2)  # first maximal index on ties
-    out = np.take_along_axis(xs, idx[:, :, None], axis=2).squeeze(2)
+    xs, _ = _group_view(x, c_out, "channel_max_pool")
+    out = np.maximum.reduce(xs, axis=2)
 
     def backward(gout: np.ndarray):
         if x.requires_grad:
             dx = np.zeros_like(xs)
+            idx = xs.argmax(axis=2)  # first maximal index on ties
             np.put_along_axis(dx, idx[:, :, None], gout[:, :, None], axis=2)
             _accum(x, dx.reshape(x.shape))
 
@@ -410,14 +415,11 @@ def channel_mean(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
     if c < 1:
         raise ShapeError("channel_mean: empty channel axis")
-    acc = x.data[:, 0:1].copy()
-    for j in range(1, c):
-        acc += x.data[:, j : j + 1]
-    out = acc / c
+    out = np.add.reduce(x.data, axis=1, keepdims=True) / c
 
     def backward(gout: np.ndarray):
         if x.requires_grad:
-            _accum(x, np.broadcast_to(gout / c, x.shape).copy())
+            _accum(x, np.broadcast_to(gout / c, x.shape))
 
     return _emit("channel_mean", out, backward)
 
@@ -428,7 +430,7 @@ def sum_all(x: Tensor) -> Tensor:
 
     def backward(gout: np.ndarray):
         if x.requires_grad:
-            _accum(x, np.broadcast_to(gout.reshape(()), x.shape).copy())
+            _accum(x, np.broadcast_to(gout.reshape(()), x.shape))
 
     return _emit("sum_all", out, backward, flops=x.data.size)
 
@@ -472,27 +474,14 @@ def _resample(a: np.ndarray, my: np.ndarray, mx: np.ndarray) -> np.ndarray:
 def resize_bilinear_array(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Plain-array bilinear resize over the trailing two axes."""
     h, w = img.shape[-2], img.shape[-1]
-    if (h, w) == (out_h, out_w):
-        return img.copy()
     return _resample(img, _resize_matrix(h, out_h, img.dtype), _resize_matrix(w, out_w, img.dtype))
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Bilinear spatial resampling with half-pixel centers and edge clamping.
-
-    Identity (a copy) when the target size equals the input size.
-    """
+    """Bilinear spatial resampling with half-pixel centers and edge clamping."""
     if out_h < 1 or out_w < 1:
         raise ConfigError(f"bilinear_resize: bad target size ({out_h}, {out_w})")
     n, c, h, w = x.shape
-    if (out_h, out_w) == (h, w):
-        out = x.data.copy()
-
-        def backward(gout: np.ndarray):
-            _accum(x, gout)
-
-        return _emit("bilinear_resize", out, backward, flops=0)
-
     my = _resize_matrix(h, out_h, x.dtype)
     mx = _resize_matrix(w, out_w, x.dtype)
     out = _resample(x.data, my, mx)
@@ -510,11 +499,10 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0)
-    mask = x.data > 0  # subgradient 0 at x == 0
 
     def backward(gout: np.ndarray):
         if x.requires_grad:
-            _accum(x, gout * mask)
+            _accum(x, gout * (x.data > 0))  # subgradient 0 at x == 0
 
     return _emit("relu", out, backward)
 

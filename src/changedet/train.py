@@ -1,8 +1,8 @@
 """Distillation training: frozen teacher, AdamW, linear LR decay, augmentation.
 
 The teacher (a larger trained model, or a deterministic smoothed-ground-truth
-stand-in) predicts outside any gradient tape; only the student's parameters
-ever receive gradients.  The whole run is a pure function of (seed, config,
+stand-in) predicts outside any gradient tape, and only when a distillation
+loss is selected; only the student's parameters ever receive gradients.  The whole run is a pure function of (seed, config,
 dataset): batch order, augmentation draws, and parameter updates all derive
 from the config seed.
 """
@@ -284,7 +284,9 @@ def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=No
         batches = batch_iter(train_index, config.batch_size, seed=config.seed, shuffle=True, epoch=epoch)
         for batch_idx, (pre, post, mask, _ids) in enumerate(batches):
             pre, post, mask = _augment_batch(pre, post, mask, aug_rng, config.augment)
-            teacher_probs = teacher.predict(pre, post, mask) if teacher is not None else None
+            teacher_probs = None
+            if teacher is not None and config.selection.distill_loss != "none":
+                teacher_probs = teacher.predict(pre, post, mask)
             parts: dict[str, float] = {}
             try:
                 with Tape() as tape:

@@ -471,6 +471,14 @@ def _manifest_id_outside_root(tmp_path):
     return ["eval", "--ckpt", ckpt, "--data", root]
 
 
+def _manifest_duplicate_id(tmp_path):
+    ckpt = tmp_path / "nano.ckpt"
+    save_checkpoint(ChangeDetector(preset("nano")), ckpt)
+    root = _one_pair_test_split(tmp_path, "data", 32)
+    (root / "test" / "manifest.txt").write_text("test_00000\ntest_00000\n", encoding="utf-8")
+    return ["eval", "--ckpt", ckpt, "--data", root]
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
@@ -482,11 +490,12 @@ def _manifest_id_outside_root(tmp_path):
         _non_utf8_manifest,
         _mixed_size_test_split,
         _manifest_id_outside_root,
+        _manifest_duplicate_id,
     ],
     ids=[
         "gradcheck-zero-instances", "gradcheck-negative-instances", "gradcheck-negative-seed",
         "synth-negative-seed", "non-utf8-config", "non-utf8-manifest",
-        "eval-mixed-image-sizes", "manifest-id-outside-root",
+        "eval-mixed-image-sizes", "manifest-id-outside-root", "manifest-duplicate-id",
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(capsys, tmp_path, make_argv):

@@ -174,6 +174,13 @@ class TestGenerateDataset:
         with pytest.raises(DataError, match=r"manifest\.txt:3: sample id .* is not a single path component"):
             D.load_index(tmp_path, "val")
 
+    def test_manifest_rejects_a_repeated_id(self, tmp_path):
+        D.generate_synthetic_dataset(small_cfg(), tmp_path)
+        manifest = tmp_path / "val" / "manifest.txt"
+        manifest.write_text("val_00000\nval_00001\n\nval_00000\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"manifest\.txt:4: sample id 'val_00000' repeats line 1$"):
+            D.load_index(tmp_path, "val")
+
     def test_missing_file_names_the_id(self, tmp_path):
         idx_all = D.generate_synthetic_dataset(small_cfg(), tmp_path)
         idx = idx_all["test"]

@@ -259,6 +259,22 @@ class TestFit:
         assert all(not p.requires_grad for p in teacher_model.params.values())
         assert all(p.grad is None for p in teacher_model.params.values())
 
+    @pytest.mark.parametrize("distill_loss,calls", [("none", 0), ("mae", 2)])
+    def test_teacher_is_called_only_when_distilling(self, train_root, distill_loss, calls):
+        class CountingTeacher(OracleTeacher):
+            calls = 0
+
+            def predict(self, pre, post, gt):
+                self.calls += 1
+                return super().predict(pre, post, gt)
+
+        teacher = CountingTeacher()
+        student = ChangeDetector(preset("nano", input_size=(32, 32)), seed=8)
+        cfg = TrainConfig(batch_size=4, epochs=1, seed=8, augment=NO_AUG,
+                          selection=LossSelection(distill_loss=distill_loss))
+        fit(student, teacher, train_root, cfg)
+        assert teacher.calls == calls  # 6 train pairs at batch 4: two steps
+
     def test_student_actually_changes(self, train_root):
         student = ChangeDetector(preset("nano", input_size=(32, 32)), seed=5)
         before = _params_digest(student)
