@@ -367,4 +367,8 @@ def predict_mask(probs) -> np.ndarray:
     arr = probs.data if isinstance(probs, Tensor) else np.asarray(probs)
     if arr.ndim != 4 or arr.shape[1] != 2:
         raise ShapeError(f"predict_mask expects (N,2,H,W) probabilities, got {arr.shape}")
-    return arr.argmax(axis=1).astype(np.uint8)
+    # argmax over two classes as one comparison: class 1 wins only where
+    # class 0 is not at least as large and is not NaN (argmax counts NaN as
+    # the maximum and takes the first index on ties).
+    a0, a1 = arr[:, 0], arr[:, 1]
+    return (~(a0 >= a1) & (a0 == a0)).view(np.uint8)

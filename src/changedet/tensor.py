@@ -92,8 +92,9 @@ class Tensor:
     """A rank-4 array; a tape may record it as the output of an op.
 
     grad is allocated lazily during backward; it stays None for tensors the
-    loss never reaches.  requires_grad=False marks leaves (such as input
-    images) whose gradient nobody will read, letting ops skip the work.
+    loss never reaches.  Parameters in an optimizer arena (see optim) hold a
+    gradient view from the start.  requires_grad=False marks leaves (such as
+    input images) whose gradient nobody will read, letting ops skip the work.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -174,13 +175,18 @@ class Tape:
 
 
 def _accum(t: Tensor, g: np.ndarray):
-    # Adds g into t's own buffer and keeps no reference to g, so callers may
-    # pass read-only or broadcast views without copying them first.
+    # A first gradient becomes a copy of g in t's dtype and shape; later ones
+    # add into that buffer.  t keeps no reference to g, so callers may pass
+    # read-only or broadcast views without copying them first.  A parameter
+    # in an optimizer arena starts from a zeroed gradient view and
+    # accumulates straight into it.
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.empty_like(t.data)
+        np.copyto(t.grad, g)
+    else:
+        t.grad += g
 
 
 def _emit(

@@ -203,7 +203,8 @@ class ModelTeacher:
 
 
 def make_teacher(config: TrainConfig):
-    if config.teacher_mode == "none":
+    """The configured teacher, or None when there is none or no distillation loss would read it."""
+    if config.teacher_mode == "none" or config.selection.distill_loss == "none":
         return None
     if config.teacher_mode == "oracle":
         return OracleTeacher()
@@ -274,7 +275,7 @@ def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=No
     batches_per_epoch = math.ceil(len(train_index) / config.batch_size)
     total_steps = config.epochs * batches_per_epoch
     result = FitResult(model=student)
-    best_params: dict[str, np.ndarray] | None = None
+    best_data: np.ndarray | None = None  # a copy of the arena's flat parameter values
     step = 0
     for epoch in range(1, config.epochs + 1):
         aug_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(epoch, 1)))
@@ -306,7 +307,7 @@ def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=No
             except NumericError as exc:
                 raise TrainingDiverged(epoch, batch_idx, parts or {"forward": str(exc)}) from exc
             finally:
-                zero_grads(params)
+                zero_grads(params, state)
             n = pre.shape[0]
             for key in sums:
                 sums[key] += parts[key] * n
@@ -327,10 +328,9 @@ def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=No
         result.logs.append(entry)
         if log is not None:
             log(entry.line())
-        if best_params is None or report.iou > result.best_val_iou:
+        if best_data is None or report.iou > result.best_val_iou:
             result.best_val_iou = report.iou
             result.best_epoch = epoch
-            best_params = {k: p.data.copy() for k, p in params.items()}
-    for name, p in params.items():
-        p.data = best_params[name]
+            best_data = state.arena.data.copy()
+    np.copyto(state.arena.data, best_data)
     return result

@@ -59,6 +59,27 @@ class TestConfusionFromMasks:
         with pytest.raises(DataError):
             confusion_from_masks(np.array([[0, 1]]), np.array([[0.5, 1]]))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float32, bool])
+    def test_matches_boolean_formula_on_random_masks(self, dtype):
+        rng = np.random.default_rng(9)
+        for shape in [(8, 128, 128), (3, 7, 5), (0, 4, 4)]:
+            pred = (rng.random(shape) > 0.6).astype(dtype)
+            gt = (rng.random(shape) > 0.3).astype(dtype)
+            p, g = pred.astype(bool), gt.astype(bool)
+            want = (np.count_nonzero(p & g), np.count_nonzero(p & ~g),
+                    np.count_nonzero(~p & g), np.count_nonzero(~p & ~g))
+            c = confusion_from_masks(pred, gt)
+            assert (c.tp, c.fp, c.fn, c.tn) == want
+            assert all(type(v) is int for v in (c.tp, c.fp, c.fn, c.tn))
+
+    def test_non_binary_message_lists_the_distinct_values(self):
+        pred = np.array([[[0, 1, 5, 3, 2, 7]]])
+        with pytest.raises(DataError, match=r"^pred mask is not binary, found values \[0 1 2 3\]$"):
+            confusion_from_masks(pred, np.zeros_like(pred))
+        gt = np.array([[[np.nan, 1.0]]])
+        with pytest.raises(DataError, match=r"^gt mask is not binary, found values \[ 1. nan\]$"):
+            confusion_from_masks(np.zeros_like(gt), gt)
+
 
 class TestMetricsFromConfusion:
     def test_hand_counted_example(self):

@@ -315,6 +315,18 @@ class TestPredictMask:
         p[0, :, 0, 1] = (0.9, 0.1)
         np.testing.assert_array_equal(M.predict_mask(p)[0, 0], [1, 0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_argmax_on_ties_infinities_and_nan(self, dtype):
+        special = np.array([-np.inf, -1.0, 0.0, 0.5, 1.0, np.inf, np.nan], dtype)
+        a0, a1 = np.meshgrid(special, special, indexing="ij")
+        rng = np.random.default_rng(36)
+        ties = rng.integers(0, 3, size=(2, 2, 9, 9)).astype(dtype)  # many equal pairs
+        for p in (np.stack([a0, a1])[None], ties, rng.standard_normal((3, 2, 5, 7)).astype(dtype)):
+            got = M.predict_mask(p)
+            want = p.argmax(axis=1).astype(np.uint8)
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, want)
+
     def test_values_binary(self):
         rng = np.random.default_rng(33)
         p = rng.uniform(size=(2, 2, 8, 8)).astype(np.float32)

@@ -1,11 +1,15 @@
 """Optimizer closed forms and schedule endpoints."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from changedet import optim
 from changedet.errors import ConfigError, ShapeError
-from changedet.tensor import Tensor
+from changedet.model import ChangeDetector, conv_specs, preset
+from changedet.tensor import Tape, Tensor, sum_all
 
 
 def one_param(value, grad=None):
@@ -152,7 +156,103 @@ class TestAdamW:
         with pytest.raises(ConfigError):
             optim.adamw_step(params, state, lr=0.1, beta1=1.0)
 
-    def test_zero_grads_helper(self):
+    def test_zero_grads_fills_the_arena_gradient_buffer(self):
         params = one_param(1.0, grad=1.0)
-        optim.zero_grads(params)
-        assert params["w"].grad is None
+        state = optim.init_state(params)
+        params["w"].grad = np.full((1, 1, 1, 1), 2.0, np.float32)  # a caller's own array
+        optim.zero_grads(params, state)
+        assert params["w"].grad.base is state.arena.grad
+        assert not state.arena.grad.any()
+
+
+class TestArena:
+    def test_views_tile_the_flat_buffers_in_conv_specs_order(self):
+        net = ChangeDetector(preset("nano"), seed=1)
+        before = {name: p.data.copy() for name, p in net.params.items()}
+        state = optim.init_state(net.params)
+        arena = state.arena
+        offset = 0
+        for spec in conv_specs(net.config):
+            for name in (spec.name + ".w", spec.name + ".b"):
+                p = net.params[name]
+                for view, flat in ((p.data, arena.data), (p.grad, arena.grad),
+                                   (state.m[name], arena.m), (state.v[name], arena.v)):
+                    assert view.base is flat
+                    assert view.ctypes.data == flat.ctypes.data + offset * flat.itemsize
+                    assert view.shape == p.shape
+                np.testing.assert_array_equal(p.data, before[name])
+                assert not p.grad.any()
+                offset += p.numel()
+        assert offset == arena.data.size == net.num_params()
+
+    def test_optimizer_keeps_the_arena_and_two_blocks_resident(self):
+        # After one step the optimizer holds the four flat buffers and two
+        # work blocks, nothing per parameter beyond views.  The flat values
+        # replace the model's own arrays, but tracemalloc cannot see those
+        # freed because they were allocated before it started.
+        net = ChangeDetector(preset("tiny"), seed=0)
+        rng = np.random.default_rng(2)
+        pre, post = (rng.random((2, 3, 64, 64), dtype=np.float32) for _ in range(2))
+
+        def step():
+            with Tape() as tape:
+                out = net.forward(pre, post)
+                loss = sum_all(out.probs)
+            tape.backward(loss)
+
+        step()  # warms every memo a forward fills
+        for p in net.params.values():
+            p.grad = None
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            state = optim.init_state(net.params)
+            step()
+            optim.adamw_step(net.params, state, lr=1e-3)
+            gc.collect()
+            resident = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n = net.num_params()
+        arrays = (4 * n + 2 * min(optim.BLOCK, n)) * 4
+        assert arrays <= resident <= arrays + 128 * 1024
+
+    def test_rebound_data_is_copied_into_the_arena_and_updated(self):
+        rng = np.random.default_rng(8)
+        shapes = {"a": (2, 3, 3, 3), "b": (1, 2, 1, 1)}
+        params = {k: Tensor(rng.normal(size=s).astype(np.float32)) for k, s in shapes.items()}
+        ref = {k: Tensor(p.data.copy()) for k, p in params.items()}
+        state, ref_state = optim.init_state(params), optim.init_state(ref)
+        new = rng.normal(size=shapes["a"]).astype(np.float32)
+        grads = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
+        params["a"].data = new.copy()
+        ref["a"].data[...] = new
+        for k in shapes:
+            params[k].grad = grads[k].copy()
+            ref[k].grad[...] = grads[k]
+        optim.adamw_step(params, state, lr=1e-2)
+        optim.adamw_step(ref, ref_state, lr=1e-2)
+        for k in shapes:
+            assert params[k].data.base is state.arena.data
+            assert params[k].grad.base is state.arena.grad
+            assert np.array_equal(params[k].data, ref[k].data)
+            assert np.array_equal(state.m[k], ref_state.m[k])
+        assert not np.array_equal(params["a"].data, new)
+
+    def test_mixed_dtypes_rejected(self):
+        params = {"a": Tensor(np.zeros((1, 1, 1, 1), np.float32)), "b": Tensor(np.zeros((1, 1, 1, 1), np.float64))}
+        with pytest.raises(ConfigError):
+            optim.init_state(params)
+        params = one_param(1.0, grad=1.0)
+        state = optim.init_state(params)
+        params["w"].data = np.zeros((1, 1, 1, 1), np.float64)
+        with pytest.raises(ConfigError):
+            optim.adamw_step(params, state, lr=0.1)
+
+    def test_state_without_arena_rejected(self):
+        params = one_param(1.0, grad=1.0)
+        state = optim.OptimizerState(m={"w": np.zeros((1, 1, 1, 1), np.float32)},
+                                     v={"w": np.zeros((1, 1, 1, 1), np.float32)})
+        with pytest.raises(ShapeError):
+            optim.adamw_step(params, state, lr=0.1)

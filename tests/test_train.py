@@ -1,19 +1,22 @@
+import ctypes
 import hashlib
 import io
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import changedet
+from changedet import train
 from changedet.checkpoint import save_checkpoint
 from changedet.data import BitemporalSample, SynthConfig, generate_synthetic_dataset, load_index
 from changedet.errors import ConfigError, DataError, TrainingDiverged
 from changedet.losses import LossSelection, LossWeights
-from changedet.metrics import evaluate
+from changedet.metrics import ConfusionCounts, MetricsReport, evaluate
 from changedet.model import ChangeDetector, preset
 from changedet.train import (
     AugmentConfig,
@@ -194,6 +197,12 @@ class TestTrainConfig:
         with pytest.raises(DataError):
             make_teacher(cfg)
 
+    def test_no_teacher_is_loaded_without_a_distillation_loss(self, tmp_path):
+        cfg = TrainConfig(teacher_mode="checkpoint", teacher_checkpoint=str(tmp_path / "missing.ckpt"),
+                          selection=LossSelection(distill_loss="none"))
+        assert make_teacher(cfg) is None
+        assert make_teacher(replace(cfg, teacher_mode="oracle", teacher_checkpoint=None)) is None
+
 
 @pytest.fixture(scope="module")
 def train_root(tmp_path_factory):
@@ -237,6 +246,28 @@ class TestFit:
         assert result.best_epoch == first_best
         report = evaluate(result.model, load_index(train_root, "val"), batch_size=4)
         assert report.iou == result.best_val_iou
+
+    def test_restored_weights_are_the_best_epochs(self, train_root, monkeypatch):
+        # Validation IoU peaks at epoch 2 of 3; each epoch's weights are
+        # copied when its log line is written, after its validation pass.
+        ious = iter((0.5, 0.9, 0.1))
+        monkeypatch.setattr(train, "evaluate",
+                            lambda *args: MetricsReport(iou=next(ious), f1=0.0, oa=0.0, counts=ConfusionCounts()))
+        model = ChangeDetector(preset("nano", input_size=(32, 32)), seed=2)
+        cfg = TrainConfig(batch_size=4, epochs=3, seed=2, augment=NO_AUG, teacher_mode="oracle")
+        snapshots = []
+        arrays = {}
+
+        def log(_line):
+            snapshots.append({name: p.data.copy() for name, p in model.params.items()})
+            arrays.update({name: p.data for name, p in model.params.items()})
+
+        result = fit(model, make_teacher(cfg), train_root, cfg, log=log)
+        assert result.best_epoch == 2
+        assert not all(np.array_equal(snapshots[1][k], snapshots[2][k]) for k in snapshots[1])
+        for name, p in model.params.items():
+            assert p.data is arrays[name]  # copied into the arena views, not rebound
+            assert np.array_equal(p.data, snapshots[1][name])
 
     def test_two_runs_are_bit_identical(self, train_root, tmp_path):
         outs = []
@@ -320,6 +351,21 @@ class TestEpochLogLine:
         line = entry.line()
         assert line.startswith("epoch=3 lr=0.00015 ")
         assert repr(2 / 3) in line
+
+
+def _openblas_threads() -> int:
+    libs = sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so*"))
+    if not libs:
+        pytest.skip("numpy is not linked against scipy-openblas64")
+    query = ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_
+    query.argtypes, query.restype = [], ctypes.c_int
+    return query()
+
+
+def test_suite_runs_openblas_on_the_thread_count_of_the_environment():
+    # The root conftest.py sets OPENBLAS_NUM_THREADS=1 unless the caller set
+    # it, before numpy loads OpenBLAS; the library then reports that count.
+    assert _openblas_threads() == int(os.environ["OPENBLAS_NUM_THREADS"])
 
 
 def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
