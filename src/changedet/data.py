@@ -240,7 +240,7 @@ def load_sample(index: DatasetIndex, sample_id: str) -> BitemporalSample:
             f"sample {sample_id!r}: inconsistent shapes pre={pre.shape} "
             f"post={post.shape} mask={mask_map.shape}"
         )
-    if not np.isin(mask_map, (0.0, 1.0)).all():
+    if not ((mask_map == 0) | (mask_map == 1)).all():
         raise DataError(f"sample {sample_id!r}: mask is not binary")
     return BitemporalSample(pre=pre, post=post, mask=mask_map.astype(np.uint8))
 

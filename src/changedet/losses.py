@@ -59,9 +59,8 @@ def _check_gt(gt: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
     gt = np.asarray(gt)
     if gt.shape != (n, 1, h, w):
         raise ShapeError(f"ground truth must be ({n},1,{h},{w}), got {gt.shape}")
-    vals = np.unique(gt)
-    if not np.isin(vals, (0, 1)).all():
-        raise DataError(f"ground truth must be binary, found values {vals[:8]}")
+    if not ((gt == 0) | (gt == 1)).all():
+        raise DataError(f"ground truth must be binary, found values {np.unique(gt)[:8]}")
     return gt.astype(np.int64)
 
 

@@ -8,6 +8,7 @@ a shadow shape program that could drift from the implementation.
 
 from __future__ import annotations
 
+import os
 import platform
 import statistics
 import time
@@ -18,6 +19,8 @@ import numpy as np
 from .errors import ConfigError
 from .model import ChangeDetector, ModelConfig
 from .tensor import REAL32, FlopCounter, Tensor
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _SUBMODULES = {
     "stem": "stem",
@@ -88,11 +91,19 @@ def count_flops(config: ModelConfig, input_size: tuple[int, int] | None = None) 
 
 
 def environment_info() -> dict[str, str]:
+    """The machine, numpy and its BLAS build, and the BLAS thread settings that timings depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name', '?')} {blas.get('version', '?')}"
+    except (TypeError, KeyError):  # numpy before 1.25 has no mode="dicts"
+        blas = "unknown"
     return {
         "platform": platform.platform(),
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": blas,
+        **{var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS},
     }
 
 

@@ -14,11 +14,15 @@ forward pass with no tape never builds it.
 Tensors are immutable by convention: ops return new tensors and never write
 into their inputs.  A tape and its backward pass belong to a single thread.
 
-conv2d picks one of three lowerings from the weight geometry alone: a plain
-GEMM for unpadded stride-1 1x1 convs, k*k shifted multiply-adds for the input
-gradient of depthwise convs, and one GEMM per group over (groups, C_g*k*k,
-N*Ho*Wo) columns for every other conv.  Bilinear resize multiplies by two
-interpolation matrices that are memoised per (in, out, dtype) and read-only.
+conv2d has one lowering for every geometry: per-image columns laid out
+(N, groups, C_g*k*k, Ho*Wo) and one batched GEMM against the
+(groups, C_out/groups, C_g*k*k) weight, whose result is already NCHW.  The
+columns of an unpadded stride-1 1x1 conv are the input itself.  dW is the
+same GEMM against the transposed columns, summed over N; dX scatters the
+column gradient back with k*k strided adds, a depthwise conv forming each
+tap's share by a broadcast multiply instead of a column buffer.  Bilinear
+resize multiplies by two interpolation matrices that are memoised per
+(in, out, dtype) and read-only.
 """
 
 from __future__ import annotations
@@ -251,12 +255,42 @@ def conv2d(
 
     h_out = (h + 2 * padding - k) // stride + 1
     w_out = (w + 2 * padding - k) // stride + 1
-    if k == 1 and stride == 1 and padding == 0 and groups == 1:
-        out, backward = _conv_pointwise(x, weight, bias)
-    elif groups == c_in == c_out:
-        out, backward = _conv_depthwise(x, weight, bias, stride, padding, h_out, w_out)
+    npix = h_out * w_out
+    shape = (n, groups, c_g * k * k, npix)  # per-image columns, one block per group
+    pointwise = k == 1 and stride == 1 and padding == 0
+    if pointwise:
+        cols = x.data.reshape(shape)
     else:
-        out, backward = _conv_grouped(x, weight, bias, stride, padding, groups, h_out, w_out)
+        win = _windows(_padded(x.data, padding), k, stride).transpose(0, 1, 4, 5, 2, 3)
+        cols = np.ascontiguousarray(win).reshape(shape)
+    wm = weight.data.reshape(groups, c_out // groups, c_g * k * k)
+    out = np.matmul(wm, cols).reshape(n, c_out, h_out, w_out)
+    if bias is not None:
+        out += bias.data
+
+    def backward(gout: np.ndarray):
+        if bias is not None and bias.requires_grad:
+            _accum(bias, gout.sum(axis=(0, 2, 3)).reshape(bias.shape))
+        go = gout.reshape(n, groups, c_out // groups, npix)
+        if weight.requires_grad:
+            _accum(weight, np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.shape))
+        if not x.requires_grad:
+            return
+        if pointwise:
+            _accum(x, np.matmul(wm.transpose(0, 2, 1), go).reshape(x.shape))
+            return
+        dxp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding), dtype=gout.dtype)
+        depthwise = groups == c_in == c_out
+        if depthwise:
+            wk = weight.data.reshape(1, c_in, k, k)
+        else:
+            dcols = np.matmul(wm.transpose(0, 2, 1), go).reshape(n, c_in, k, k, h_out, w_out)
+        for i in range(k):
+            for j in range(k):
+                # A depthwise tap is a broadcast multiply, with no k*k-fold buffer.
+                part = gout * wk[:, :, i : i + 1, j : j + 1] if depthwise else dcols[:, :, i, j]
+                dxp[:, :, i : i + h_out * stride : stride, j : j + w_out * stride : stride] += part
+        _accum(x, dxp[:, :, padding : padding + h, padding : padding + w])
 
     flops = 2 * n * h_out * w_out * c_out * (k * k * c_g)
     if bias is not None:
@@ -282,91 +316,6 @@ def _windows(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
     """(N, C, Ho, Wo, k, k) strided view of the k x k windows of xp."""
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
     return win[:, :, ::stride, ::stride]
-
-
-def _bias_backward(bias: Tensor | None, gout: np.ndarray):
-    if bias is not None and bias.requires_grad:
-        _accum(bias, gout.sum(axis=(0, 2, 3)).reshape(bias.shape))
-
-
-def _conv_pointwise(x: Tensor, weight: Tensor, bias: Tensor | None):
-    """1x1, stride 1, unpadded, ungrouped: a GEMM on the input as it lies."""
-    n, c_in, h, w = x.shape
-    c_out = weight.shape[0]
-    xm = x.data.reshape(n, c_in, h * w)
-    wm = weight.data.reshape(c_out, c_in)
-    out = np.matmul(wm, xm).reshape(n, c_out, h, w)
-    if bias is not None:
-        out += bias.data
-
-    def backward(gout: np.ndarray):
-        _bias_backward(bias, gout)
-        go = gout.reshape(n, c_out, h * w)
-        if weight.requires_grad:
-            _accum(weight, np.matmul(go, xm.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape))
-        if x.requires_grad:
-            _accum(x, np.matmul(wm.T, go).reshape(x.shape))
-
-    return out, backward
-
-
-def _conv_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, stride, padding, h_out, w_out):
-    """groups == C_in == C_out: im2col forward, k*k shifted multiply-adds for dX."""
-    n, c, h, w = x.shape
-    k = weight.shape[2]
-
-    win = _windows(_padded(x.data, padding), k, stride).transpose(0, 1, 4, 5, 2, 3)
-    cols = np.ascontiguousarray(win).reshape(n, c, k * k, h_out * w_out)
-    del win  # frees the padded input before the output is allocated, which lowers peak memory
-    out = np.matmul(weight.data.reshape(c, 1, k * k), cols).reshape(n, c, h_out, w_out)
-    if bias is not None:
-        out += bias.data
-
-    def backward(gout: np.ndarray):
-        _bias_backward(bias, gout)
-        if weight.requires_grad:
-            go = gout.reshape(n, c, h_out * w_out)
-            _accum(weight, np.einsum("ncp,nctp->ct", go, cols).reshape(weight.shape))
-        if x.requires_grad:
-            wk = weight.data.reshape(1, c, k, k)
-            dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=gout.dtype)
-            for i in range(k):
-                for j in range(k):
-                    dxp[:, :, i : i + h_out * stride : stride, j : j + w_out * stride : stride] += (
-                        gout * wk[:, :, i : i + 1, j : j + 1]
-                    )
-            _accum(x, dxp[:, :, padding : padding + h, padding : padding + w])
-
-    return out, backward
-
-
-def _conv_grouped(x: Tensor, weight: Tensor, bias: Tensor | None, stride, padding, groups, h_out, w_out):
-    """Columns laid out (groups, C_g*k*k, N*Ho*Wo): one GEMM per group each way."""
-    n, c_in, h, w = x.shape
-    c_out, c_g, k, _ = weight.shape
-    npix = n * h_out * w_out
-    win = _windows(_padded(x.data, padding), k, stride).transpose(1, 4, 5, 0, 2, 3)
-    cols = np.ascontiguousarray(win).reshape(groups, c_g * k * k, npix)
-    wm = weight.data.reshape(groups, c_out // groups, c_g * k * k)
-    out_t = np.matmul(wm, cols).reshape(c_out, n, h_out, w_out)
-    if bias is not None:
-        out_t += bias.data.reshape(c_out, 1, 1, 1)
-    out = np.ascontiguousarray(out_t.transpose(1, 0, 2, 3))
-
-    def backward(gout: np.ndarray):
-        _bias_backward(bias, gout)
-        go = gout.transpose(1, 0, 2, 3).reshape(groups, c_out // groups, npix)
-        if weight.requires_grad:
-            _accum(weight, np.matmul(go, cols.transpose(0, 2, 1)).reshape(weight.shape))
-        if x.requires_grad:
-            dcols = np.matmul(wm.transpose(0, 2, 1), go).reshape(c_in, k, k, n, h_out, w_out)
-            dxp = np.zeros((c_in, n, h + 2 * padding, w + 2 * padding), dtype=gout.dtype)
-            for i in range(k):
-                for j in range(k):
-                    dxp[:, :, i : i + h_out * stride : stride, j : j + w_out * stride : stride] += dcols[:, i, j]
-            _accum(x, dxp[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3))
-
-    return out, backward
 
 
 # ---------------------------------------------------------------------------

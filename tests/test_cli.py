@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import os
 import re
 from types import SimpleNamespace
 
@@ -300,6 +301,14 @@ def test_bench_single_run_marks_low_confidence(capsys):
     assert "[low confidence: single run]" in out
     assert "params fusion = 0" in out
     assert "latency median = " in out
+
+
+def test_bench_reports_blas_build_and_thread_settings(capsys):
+    code, out, _ = run_cli(capsys, "bench", "--preset", "nano", "--size", 32, "--runs", 1, "--warmup", 0)
+    assert code == 0
+    assert re.search(r"^env blas = \S", out, re.MULTILINE)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert f"\nenv {var} = {os.environ.get(var, 'unset')}\n" in out
 
 
 def test_bench_multiple_runs_no_marker(capsys):

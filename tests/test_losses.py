@@ -64,6 +64,18 @@ class TestCeLoss:
         np.testing.assert_allclose(lt.grad, (p - onehot) / 9.0, rtol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "loss,channels",
+    [(L.ce_loss, 2), (L.bce_loss, 1), (L.soft_miou_loss, 2)],
+    ids=["ce", "bce", "soft_miou"],
+)
+def test_nonbinary_gt_error_lists_distinct_values(loss, channels):
+    gt = np.array([0.0, 1.0, 0.5, 2.0, 1.0, 0.5]).reshape(1, 1, 2, 3)
+    x = T.Tensor(np.full((1, channels, 2, 3), 0.5))
+    with pytest.raises(DataError, match=r"must be binary, found values \[0\.  0\.5 1\.  2\. \]$"):
+        loss(x, gt)
+
+
 class TestBceLoss:
     def test_half_gives_ln2(self):
         p = T.Tensor(np.full((1, 1, 3, 3), 0.5, np.float64))

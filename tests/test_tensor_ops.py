@@ -43,6 +43,8 @@ class TestConv2d:
             ((2, 2, 5, 5), 2, 5, 1, 2, 1),
             ((2, 5, 4, 3), 3, 1, 1, 0, 1),  # pointwise, N=2
             ((2, 3, 7, 6), 3, 3, 2, 1, 3),  # depthwise, stride 2
+            ((1, 4, 5, 5), 2, 3, 1, 1, 2),  # one output channel per group, two inputs each
+            ((2, 1, 5, 5), 1, 3, 1, 1, 1),  # single-channel dense: groups == C_in == C_out
         ],
     )
     def test_matches_oracle_f32(self, shape, cout, k, stride, padding, groups):
@@ -118,8 +120,13 @@ class TestConv2d:
             ((2, 3, 4, 4), (2, 3, 1, 1), 1, 0, 1),
             ((1, 3, 5, 5), (2, 3, 1, 1), 2, 0, 1),
             ((1, 2, 3, 4), (2, 2, 1, 1), 1, 1, 1),
+            ((1, 4, 5, 5), (2, 2, 3, 3), 1, 1, 2),
+            ((2, 1, 5, 5), (1, 1, 3, 3), 1, 1, 1),
         ],
-        ids=["dense-s2-p1", "grouped", "depthwise-s1", "depthwise-s2", "pointwise-n2", "1x1-s2", "1x1-p1"],
+        ids=[
+            "dense-s2-p1", "grouped", "depthwise-s1", "depthwise-s2", "pointwise-n2", "1x1-s2", "1x1-p1",
+            "one-out-per-group", "single-channel",
+        ],
     )
     def test_backward_matches_fd(self, shape, w_shape, stride, padding, groups):
         x = rand(shape, 10, np.float64)
@@ -158,6 +165,18 @@ class TestConv2d:
         padded_shape = (1, 2, 9, 9)
         for a in closure_arrays(tape):
             assert padded_shape not in (a.shape, getattr(a.base, "shape", None))
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_pointwise_backward_copies_no_input(self, groups):
+        # A 1x1, stride-1, unpadded conv takes the input itself as its columns.
+        x = T.Tensor(rand((2, 4, 3, 5), 18))
+        w = T.Tensor(rand((6, 4 // groups, 1, 1), 19))
+        with T.Tape() as tape:
+            T.conv2d(x, w, groups=groups)
+        input_sized = [a for a in closure_arrays(tape) if a.size == x.data.size]
+        assert input_sized
+        for a in input_sized:
+            assert np.shares_memory(a, x.data)
 
     def test_rejects_bad_geometry(self):
         x = T.Tensor(np.zeros((1, 4, 4, 4), np.float32))
