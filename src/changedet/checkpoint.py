@@ -27,6 +27,7 @@ import numpy as np
 
 from .config import model_text, parse_model_text
 from .errors import CompatibilityError, ConfigError, FormatError
+from .fileio import write_atomic
 from .model import ChangeDetector, ModelConfig, parameter_names
 from .tensor import REAL32, Tensor
 
@@ -36,7 +37,6 @@ DTYPE_REAL32 = 0
 
 
 def save_checkpoint(model: ChangeDetector, path) -> None:
-    path = Path(path)
     config_bytes = model_text(model.config).encode("utf-8")
     names = parameter_names(model.config)
     chunks = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(config_bytes)), config_bytes]
@@ -50,7 +50,7 @@ def save_checkpoint(model: ChangeDetector, path) -> None:
         chunks.append(struct.pack("<I", data.ndim))
         chunks.append(struct.pack(f"<{data.ndim}I", *data.shape))
         chunks.append(data.tobytes())
-    path.write_bytes(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
 
 
 class _Reader:

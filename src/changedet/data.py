@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, GenerationError
+from .fileio import write_atomic
 from .netpbm import load_pgm, load_ppm, save_pgm, save_ppm
 from .tensor import resize_bilinear_array
 
@@ -199,7 +200,7 @@ def generate_synthetic_dataset(cfg: SynthConfig, out_root) -> dict[str, DatasetI
             save_ppm(sample.post, b)
             save_pgm(sample.mask.astype(np.float32), label)
             ids.append(sample_id)
-        (out_root / split / "manifest.txt").write_text("".join(f"{s}\n" for s in ids))
+        write_atomic(out_root / split / "manifest.txt", "".join(f"{s}\n" for s in ids).encode("utf-8"))
         indexes[split] = DatasetIndex(root=out_root, split=split, ids=ids)
     return indexes
 

@@ -14,6 +14,7 @@ parameters.  The naive baseline mode concatenates everything and pays for a
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -192,6 +193,8 @@ class ModelOutputs:
     fused: Tensor  # (N,C1+C4,H/4,W/4)
 
 
+# Read three times per forward (stem, encoder, head); callers never mutate it.
+@functools.lru_cache(maxsize=16)
 def _spec_map(config: ModelConfig) -> dict[str, ConvSpec]:
     return {s.name: s for s in conv_specs(config)}
 

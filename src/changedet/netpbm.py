@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
+from .fileio import write_atomic
 
 
 def _quantize(values: np.ndarray) -> np.ndarray:
@@ -68,7 +69,7 @@ def save_ppm(image: np.ndarray, path) -> None:
         raise FormatError(f"save_ppm needs a (3,H,W) image, got {image.shape}")
     _, h, w = image.shape
     data = _quantize(image).transpose(1, 2, 0)  # H,W,RGB interleaved
-    Path(path).write_bytes(b"P6\n%d %d\n255\n" % (w, h) + data.tobytes())
+    write_atomic(path, b"P6\n%d %d\n255\n" % (w, h) + data.tobytes())
 
 
 def load_ppm(path) -> np.ndarray:
@@ -86,7 +87,7 @@ def save_pgm(mask: np.ndarray, path) -> None:
     if mask.ndim != 2:
         raise FormatError(f"save_pgm needs an (H,W) map, got {mask.shape}")
     h, w = mask.shape
-    Path(path).write_bytes(b"P5\n%d %d\n255\n" % (w, h) + _quantize(mask).tobytes())
+    write_atomic(path, b"P5\n%d %d\n255\n" % (w, h) + _quantize(mask).tobytes())
 
 
 def load_pgm(path) -> np.ndarray:

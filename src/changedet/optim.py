@@ -3,16 +3,17 @@ learning-rate schedule.
 
 init_state lays the parameters' values and gradients and AdamW's two moments
 out as four flat buffers, in the order of the parameter dict (for a model,
-``conv_specs`` order).  Every ``.data``, every ``.grad`` and each ``m``/``v``
-entry is a view of its slice.  Backward therefore accumulates each gradient
-straight into the arena, clearing the gradients is one fill, and adamw_step
-runs its ufuncs over cache-sized blocks of the flat buffers, not once per
-tensor.
+``conv_specs`` order); the returned OptimizerState is those buffers plus the
+step counter.  Every ``.data`` and every ``.grad`` is a view of its slice.
+Backward therefore accumulates each gradient straight into the arena,
+clearing the gradients is one fill, and adamw_step runs its ufuncs over
+cache-sized blocks of the flat buffers, not once per tensor.  The moments
+are only read flat: a parameter's entries sit at the offsets of its values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,10 +40,11 @@ def lr_at(step: int, total_steps: int, base_lr: float) -> float:
 
 
 @dataclass
-class Arena:
-    """Flat parameter values, gradients and moments, and each parameter's
-    (data, grad) views.  work holds two block-sized buffers for the update's
-    intermediates; they carry nothing between steps."""
+class OptimizerState:
+    """Flat parameter values, gradients and AdamW moments, each parameter's
+    (data, grad) views, and the step counter that bias correction uses.
+    work holds two block-sized buffers for the update's intermediates; they
+    carry nothing between steps."""
 
     data: np.ndarray
     grad: np.ndarray
@@ -50,28 +52,7 @@ class Arena:
     v: np.ndarray
     views: dict[str, tuple[np.ndarray, np.ndarray]]
     work: tuple[np.ndarray, np.ndarray]
-
-
-@dataclass
-class OptimizerState:
-    """First/second moment buffers plus the shared step counter.
-
-    With an arena (from init_state) m and v map names to views of its flat
-    moment buffers.
-    """
-
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
-    arena: Arena | None = field(default=None, repr=False)
-
-
-def _carve(flat: np.ndarray, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    views, start = {}, 0
-    for name, p in params.items():
-        views[name] = flat[start : start + p.data.size].reshape(p.data.shape)
-        start += p.data.size
-    return views
 
 
 def init_state(params: dict[str, Tensor]) -> OptimizerState:
@@ -83,26 +64,31 @@ def init_state(params: dict[str, Tensor]) -> OptimizerState:
     size = sum(p.data.size for p in params.values())
     data = np.empty(size, dtype)
     grad, m, v = (np.zeros(size, dtype) for _ in range(3))
-    block = min(BLOCK, size)
-    data_views, grad_views = _carve(data, params), _carve(grad, params)
-    arena = Arena(
-        data, grad, m, v,
-        views={name: (data_views[name], grad_views[name]) for name in params},
-        work=(np.empty(block, dtype), np.empty(block, dtype)),
-    )
-    _bind(params, arena)
-    return OptimizerState(m=_carve(m, params), v=_carve(v, params), arena=arena)
-
-
-def _bind(params: dict[str, Tensor], arena: Arena) -> None:
-    # A .data or .grad that is not its arena view was put there by a caller;
-    # its value moves into the arena and the view takes its place.  A missing
-    # gradient counts as zero.
+    views, start = {}, 0
     for name, p in params.items():
-        data, grad = arena.views[name]
+        stop = start + p.data.size
+        views[name] = (data[start:stop].reshape(p.data.shape), grad[start:stop].reshape(p.data.shape))
+        start = stop
+    block = min(BLOCK, size)
+    state = OptimizerState(data, grad, m, v, views, (np.empty(block, dtype), np.empty(block, dtype)))
+    _bind(params, state)
+    return state
+
+
+def _bind(params: dict[str, Tensor], state: OptimizerState) -> None:
+    # The one check of a state against its parameters.  A .data or .grad
+    # that is not its arena view was put there by a caller; its value moves
+    # into the arena and the view takes its place.  A missing gradient
+    # counts as zero.
+    if params.keys() != state.views.keys():
+        raise ShapeError(f"optimizer state/parameter name mismatch: {sorted(params.keys() ^ state.views.keys())}")
+    for name, p in params.items():
+        data, grad = state.views[name]
         if p.data is not data:
             if p.data.dtype != data.dtype:
                 raise ConfigError(f"parameter {name!r} is {p.data.dtype.name}, its arena {data.dtype.name}")
+            if p.data.shape != data.shape:
+                raise ShapeError(f"parameter {name!r} has shape {p.data.shape}, its arena slot {data.shape}")
             np.copyto(data, p.data)
             p.data = data
         if p.grad is not grad:
@@ -132,29 +118,17 @@ def adamw_step(
     """
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ConfigError(f"adamw_step: betas must lie in [0, 1), got ({beta1}, {beta2})")
-    if set(params) != set(state.m):
-        missing = set(params) ^ set(state.m)
-        raise ShapeError(f"adamw_step: state/parameter name mismatch: {sorted(missing)}")
-    for name, p in params.items():
-        if state.m[name].shape != p.data.shape:
-            raise ShapeError(
-                f"adamw_step: state buffer for {name!r} has shape "
-                f"{state.m[name].shape}, parameter has {p.data.shape}"
-            )
-    arena = state.arena
-    if arena is None:
-        raise ShapeError("adamw_step: the state has no parameter arena; build it with init_state")
-    _bind(params, arena)
+    _bind(params, state)
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    work_a, work_b = arena.work
-    size = arena.data.size
+    work_a, work_b = state.work
+    size = state.data.size
     for start in range(0, size, BLOCK):
         stop = min(start + BLOCK, size)
-        p, g = arena.data[start:stop], arena.grad[start:stop]
-        m, v = arena.m[start:stop], arena.v[start:stop]
+        p, g = state.data[start:stop], state.grad[start:stop]
+        m, v = state.m[start:stop], state.v[start:stop]
         a, b = work_a[: stop - start], work_b[: stop - start]
         # The ufuncs and their order are those of the textbook form
         #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
@@ -180,7 +154,6 @@ def adamw_step(
 
 def zero_grads(params: dict[str, Tensor], state: OptimizerState) -> None:
     """Clear every gradient with one fill of the arena's gradient buffer."""
-    arena = state.arena
-    arena.grad.fill(0)
+    state.grad.fill(0)
     for name, p in params.items():
-        p.grad = arena.views[name][1]
+        p.grad = state.views[name][1]

@@ -24,6 +24,7 @@ from .optim import adamw_step, init_state, lr_at, zero_grads
 from .tensor import Tape, resize_bilinear_array
 
 TEACHER_MODES = ("checkpoint", "oracle", "none")
+ORACLE_SMOOTHING = 0.1  # label smoothing of the oracle teacher's one-hot targets
 
 
 @dataclass(frozen=True)
@@ -161,29 +162,23 @@ def augment_pair(sample: BitemporalSample, rng, config: AugmentConfig = AugmentC
     )
 
 
-def oracle_teacher_predict(gt: np.ndarray, smoothing: float = 0.1, blur_sigma: float = 0.0) -> np.ndarray:
-    """Smoothed one-hot probabilities from the ground truth, (N,2,H,W).
+def oracle_teacher_predict(gt: np.ndarray) -> np.ndarray:
+    """Label-smoothed one-hot probabilities from the ground truth, (N,2,H,W).
 
-    Each pixel's change probability is 1 - smoothing/2 where gt is 1 and
-    smoothing/2 where it is 0.  Optional spatial blur is applied to both
-    channels with the same kernel, which preserves the per-pixel sum of 1.
+    Each pixel's change probability is 1 - ORACLE_SMOOTHING/2 where gt is 1
+    and ORACLE_SMOOTHING/2 where it is 0; the two channels sum to 1.
     """
     gt = np.asarray(gt)
     if gt.ndim != 3:
         raise DataError(f"oracle teacher expects a (N,H,W) mask, got shape {gt.shape}")
-    if not 0.0 <= smoothing < 1.0:
-        raise ConfigError(f"smoothing must lie in [0, 1), got {smoothing}")
-    change = gt.astype(np.float32) * (1.0 - smoothing) + smoothing / 2.0
-    probs = np.stack([1.0 - change, change], axis=1)
-    if blur_sigma > 0:
-        probs = gaussian_blur3(probs, blur_sigma)
-    return probs
+    change = gt.astype(np.float32) * (1.0 - ORACLE_SMOOTHING) + ORACLE_SMOOTHING / 2.0
+    return np.stack([1.0 - change, change], axis=1)
 
 
 class OracleTeacher:
     """Deterministic teacher for reproducible runs without a trained model.
 
-    It predicts the ground truth with label smoothing 0.1 and no blur.
+    It predicts the ground truth with label smoothing ORACLE_SMOOTHING.
     """
 
     def predict(self, pre, post, gt) -> np.ndarray:
@@ -331,6 +326,6 @@ def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=No
         if best_data is None or report.iou > result.best_val_iou:
             result.best_val_iou = report.iou
             result.best_epoch = epoch
-            best_data = state.arena.data.copy()
-    np.copyto(state.arena.data, best_data)
+            best_data = state.data.copy()
+    np.copyto(state.data, best_data)
     return result

@@ -19,6 +19,16 @@ def one_param(value, grad=None):
     return {"w": p}
 
 
+def entry(state, flat, name):
+    """Parameter name's slice of one of the state's flat buffers, in its shape."""
+    start = 0
+    for key, (data, _) in state.views.items():
+        if key == name:
+            return flat[start : start + data.size].reshape(data.shape)
+        start += data.size
+    raise KeyError(name)
+
+
 class TestLrSchedule:
     def test_endpoints_exact(self):
         assert optim.lr_at(0, 1000, 3e-4) == 3e-4
@@ -82,11 +92,11 @@ class TestAdamW:
         params = one_param(0.0, grad=2.0)
         state = optim.init_state(params)
         optim.adamw_step(params, state, lr=0.0, weight_decay=0.0)
-        assert state.m["w"].reshape(()) == pytest.approx(0.2, rel=1e-6)
-        assert state.v["w"].reshape(()) == pytest.approx(0.004, rel=1e-5)
+        assert entry(state, state.m, "w").reshape(()) == pytest.approx(0.2, rel=1e-6)
+        assert entry(state, state.v, "w").reshape(()) == pytest.approx(0.004, rel=1e-5)
         params["w"].grad = np.full((1, 1, 1, 1), 1.0, np.float32)
         optim.adamw_step(params, state, lr=0.0, weight_decay=0.0)
-        assert state.m["w"].reshape(()) == pytest.approx(0.9 * 0.2 + 0.1 * 1.0, rel=1e-6)
+        assert entry(state, state.m, "w").reshape(()) == pytest.approx(0.9 * 0.2 + 0.1 * 1.0, rel=1e-6)
         assert state.step == 2
 
     def test_descends_a_quadratic(self):
@@ -133,22 +143,58 @@ class TestAdamW:
             reference(slow, m, v, step, lr)
         for k in shapes:
             assert np.array_equal(fast[k].data, slow[k].data)
-            assert np.array_equal(state.m[k], m[k])
-            assert np.array_equal(state.v[k], v[k])
+            assert np.array_equal(entry(state, state.m, k), m[k])
+            assert np.array_equal(entry(state, state.v, k), v[k])
 
     def test_state_name_mismatch_rejected(self):
-        params = one_param(1.0, grad=1.0)
-        state = optim.OptimizerState(m={"other": np.zeros((1, 1, 1, 1))}, v={"other": np.zeros((1, 1, 1, 1))})
+        state = optim.init_state({"other": Tensor(np.zeros((1, 1, 1, 1), np.float32))})
         with pytest.raises(ShapeError):
-            optim.adamw_step(params, state, lr=0.1)
+            optim.adamw_step(one_param(1.0, grad=1.0), state, lr=0.1)
+        assert state.step == 0
 
     def test_state_shape_mismatch_rejected(self):
-        params = one_param(1.0, grad=1.0)
-        state = optim.OptimizerState(
-            m={"w": np.zeros((1, 2, 1, 1), np.float32)}, v={"w": np.zeros((1, 2, 1, 1), np.float32)}
-        )
+        # A (1,1,1,1) array broadcasts into the (2,3,1,1) slot, so only the
+        # shape check stands between it and a silent copy.
+        rng = np.random.default_rng(4)
+        params = {"w": Tensor(rng.normal(size=(2, 3, 1, 1)).astype(np.float32))}
+        state = optim.init_state(params)
+        params["w"].grad = rng.normal(size=(2, 3, 1, 1)).astype(np.float32)
+        optim.adamw_step(params, state, lr=0.1)
+        before = [a.copy() for a in (state.data, state.m, state.v)]
+        params["w"].data = np.full((1, 1, 1, 1), 7.0, np.float32)
         with pytest.raises(ShapeError):
             optim.adamw_step(params, state, lr=0.1)
+        for a, b in zip((state.data, state.m, state.v), before):
+            assert np.array_equal(a, b)
+        assert state.step == 1
+
+    def test_resumed_state_continues_bit_identically(self):
+        # data, m, v and step are the whole state: copied into a fresh
+        # init_state they continue the run exactly.
+        rng = np.random.default_rng(6)
+        shapes = {"a": (4, 3, 3, 3), "b": (1, 4, 1, 1)}
+        run = {k: Tensor(rng.normal(size=s).astype(np.float32)) for k, s in shapes.items()}
+        state = optim.init_state(run)
+        grads = [{k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()} for _ in range(8)]
+
+        def step(params, st, g):
+            for k in shapes:
+                params[k].grad = g[k].copy()
+            optim.adamw_step(params, st, lr=1e-2)
+
+        for g in grads[:5]:
+            step(run, state, g)
+        resumed = {k: Tensor(np.zeros(s, np.float32)) for k, s in shapes.items()}
+        fresh = optim.init_state(resumed)
+        for name in ("data", "m", "v"):
+            np.copyto(getattr(fresh, name), getattr(state, name))
+        fresh.step = state.step
+        for g in grads[5:]:
+            step(run, state, g)
+            step(resumed, fresh, g)
+        assert fresh.step == state.step == 8
+        for name in ("data", "m", "v"):
+            assert np.array_equal(getattr(fresh, name), getattr(state, name))
 
     def test_bad_betas_rejected(self):
         params = one_param(1.0, grad=1.0)
@@ -161,8 +207,8 @@ class TestAdamW:
         state = optim.init_state(params)
         params["w"].grad = np.full((1, 1, 1, 1), 2.0, np.float32)  # a caller's own array
         optim.zero_grads(params, state)
-        assert params["w"].grad.base is state.arena.grad
-        assert not state.arena.grad.any()
+        assert params["w"].grad.base is state.grad
+        assert not state.grad.any()
 
 
 class TestArena:
@@ -170,20 +216,19 @@ class TestArena:
         net = ChangeDetector(preset("nano"), seed=1)
         before = {name: p.data.copy() for name, p in net.params.items()}
         state = optim.init_state(net.params)
-        arena = state.arena
         offset = 0
         for spec in conv_specs(net.config):
             for name in (spec.name + ".w", spec.name + ".b"):
                 p = net.params[name]
-                for view, flat in ((p.data, arena.data), (p.grad, arena.grad),
-                                   (state.m[name], arena.m), (state.v[name], arena.v)):
+                for view, flat in ((p.data, state.data), (p.grad, state.grad),
+                                   (entry(state, state.m, name), state.m), (entry(state, state.v, name), state.v)):
                     assert view.base is flat
                     assert view.ctypes.data == flat.ctypes.data + offset * flat.itemsize
                     assert view.shape == p.shape
                 np.testing.assert_array_equal(p.data, before[name])
                 assert not p.grad.any()
                 offset += p.numel()
-        assert offset == arena.data.size == net.num_params()
+        assert offset == state.data.size == net.num_params()
 
     def test_optimizer_keeps_the_arena_and_two_blocks_resident(self):
         # After one step the optimizer holds the four flat buffers and two
@@ -234,10 +279,10 @@ class TestArena:
         optim.adamw_step(params, state, lr=1e-2)
         optim.adamw_step(ref, ref_state, lr=1e-2)
         for k in shapes:
-            assert params[k].data.base is state.arena.data
-            assert params[k].grad.base is state.arena.grad
+            assert params[k].data.base is state.data
+            assert params[k].grad.base is state.grad
             assert np.array_equal(params[k].data, ref[k].data)
-            assert np.array_equal(state.m[k], ref_state.m[k])
+            assert np.array_equal(entry(state, state.m, k), entry(ref_state, ref_state.m, k))
         assert not np.array_equal(params["a"].data, new)
 
     def test_mixed_dtypes_rejected(self):
@@ -248,11 +293,4 @@ class TestArena:
         state = optim.init_state(params)
         params["w"].data = np.zeros((1, 1, 1, 1), np.float64)
         with pytest.raises(ConfigError):
-            optim.adamw_step(params, state, lr=0.1)
-
-    def test_state_without_arena_rejected(self):
-        params = one_param(1.0, grad=1.0)
-        state = optim.OptimizerState(m={"w": np.zeros((1, 1, 1, 1), np.float32)},
-                                     v={"w": np.zeros((1, 1, 1, 1), np.float32)})
-        with pytest.raises(ShapeError):
             optim.adamw_step(params, state, lr=0.1)

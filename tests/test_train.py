@@ -138,28 +138,19 @@ class TestGaussianBlur:
 
 
 class TestOracleTeacher:
-    def test_zero_smoothing_is_exact_one_hot(self):
-        gt = np.array([[[0, 1], [1, 0]]], dtype=np.uint8)
-        p = oracle_teacher_predict(gt, smoothing=0.0)
-        assert np.array_equal(p[:, 1], gt.astype(np.float32))
-        assert np.array_equal(p[:, 0], 1.0 - gt.astype(np.float32))
-
     def test_default_smoothing_values(self):
         gt = np.array([[[0, 1]]], dtype=np.uint8)
-        p = oracle_teacher_predict(gt, smoothing=0.1)
+        p = oracle_teacher_predict(gt)
         assert abs(p[0, 1, 0, 0] - 0.05) < 1e-7
         assert abs(p[0, 1, 0, 1] - 0.95) < 1e-7
 
     def test_channel_sums_are_one(self):
         rng = np.random.default_rng(0)
         gt = (rng.random((2, 16, 16)) > 0.5).astype(np.uint8)
-        for sigma in (0.0, 0.7):
-            p = oracle_teacher_predict(gt, smoothing=0.1, blur_sigma=sigma)
-            assert np.allclose(p.sum(axis=1), 1.0, atol=1e-6)
+        p = oracle_teacher_predict(gt)
+        assert np.allclose(p.sum(axis=1), 1.0, atol=1e-6)
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            oracle_teacher_predict(np.zeros((1, 4, 4)), smoothing=1.0)
         with pytest.raises(DataError):
             oracle_teacher_predict(np.zeros((4, 4)))
 
