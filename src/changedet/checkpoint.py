@@ -28,7 +28,7 @@ import numpy as np
 from .config import model_text, parse_model_text
 from .errors import CompatibilityError, ConfigError, FormatError
 from .fileio import write_atomic
-from .model import ChangeDetector, ModelConfig, parameter_names
+from .model import ChangeDetector, parameter_names
 from .tensor import REAL32, Tensor
 
 MAGIC = b"EOCD"
@@ -75,12 +75,8 @@ class _Reader:
         return struct.unpack("<B", self.take(1))[0]
 
 
-def load_checkpoint(path, expect_config: ModelConfig | None = None) -> ChangeDetector:
-    """Rebuild a model from a checkpoint file.
-
-    expect_config, when given, must equal the embedded config exactly; use
-    it to refuse loading weights into a different architecture.
-    """
+def load_checkpoint(path) -> ChangeDetector:
+    """Rebuild a model from a checkpoint file."""
     path = Path(path)
     r = _Reader(path.read_bytes())
     if r.take(4) != MAGIC:
@@ -92,11 +88,6 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> ChangeDet
         config = parse_model_text(r.take(r.u32()).decode("utf-8"))
     except (ConfigError, UnicodeDecodeError) as e:
         raise FormatError(f"{path.name}: bad embedded config: {e}")
-    if expect_config is not None and config != expect_config:
-        raise CompatibilityError(
-            f"{path.name}: checkpoint config does not match the expected one\n"
-            f"checkpoint:\n{model_text(config)}expected:\n{model_text(expect_config)}"
-        )
     count = r.u32()
     tensors: dict[str, Tensor] = {}
     for _ in range(count):

@@ -9,6 +9,7 @@ so a run can be reproduced from its own output.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -20,12 +21,12 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, effective_text, load_run_config
 from .data import SPLITS, generate_synthetic_dataset, load_index, load_sample
 from .errors import ChangeDetError, ConfigError, DataError, ShapeError
-from .gradcheck import check_all, check_op
+from .gradcheck import DEFAULT_INSTANCES, check_all, check_op
 from .losses import LossSelection, LossWeights
 from .metrics import evaluate
 from .model import ChangeDetector, predict_mask, preset
 from .netpbm import load_ppm, save_pgm
-from .profiling import count_flops, measure_latency, param_counts
+from .profiling import count_flops, environment_info, measure_latency, param_counts
 from .train import fit, make_teacher
 
 
@@ -186,22 +187,18 @@ def cmd_bench(args, out: _Output) -> int:
     size = (args.size, args.size)
     p = param_counts(model.params)
     f = count_flops(model.config, size)
-    lat = measure_latency(model, size, warmups=args.warmup, runs=args.runs)
+    samples = measure_latency(model, size, warmups=args.warmup, runs=args.runs)
     out.line(f"input size = {args.size}x{args.size}")
-    out.line(f"params total = {p.total}")
-    out.line(f"params stem = {p.stem}")
-    out.line(f"params encoder = {p.encoder}")
-    out.line(f"params fusion = {p.fusion}")
-    out.line(f"params head = {p.head}")
-    out.line(f"flops total = {f.total}")
-    out.line(f"flops stem = {f.stem}")
-    out.line(f"flops encoder = {f.encoder}")
-    out.line(f"flops fusion = {f.fusion}")
-    out.line(f"flops head = {f.head}")
-    marker = "  [low confidence: single run]" if lat.low_confidence else ""
-    out.line(f"latency median = {lat.latency_ms:.3f} ms over {lat.runs} runs ({lat.warmups} warmups){marker}")
-    for key in sorted(lat.environment):
-        out.line(f"env {key} = {lat.environment[key]}")
+    for kind, counts in (("params", p), ("flops", f)):
+        for part in ("total", "stem", "encoder", "fusion", "head"):
+            out.line(f"{kind} {part} = {getattr(counts, part)}")
+    marker = "  [low confidence: single run]" if args.runs < 2 else ""
+    out.line(
+        f"latency median = {statistics.median(samples):.3f} ms over {args.runs} runs ({args.warmup} warmups){marker}"
+    )
+    env = environment_info()
+    for key in sorted(env):
+        out.line(f"env {key} = {env[key]}")
     return 0
 
 
@@ -341,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", parents=[common], help="finite-difference gradient verification")
     p.add_argument("--op", default="all", help="op name, or 'all'")
-    p.add_argument("--instances", type=int, default=20)
+    p.add_argument("--instances", type=int, default=DEFAULT_INSTANCES)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
     return parser

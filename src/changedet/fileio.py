@@ -14,7 +14,8 @@ def write_atomic(path, payload: bytes) -> None:
     """Write payload to path through a temporary file in the same directory
     and ``os.replace``, so an interrupted write leaves the old file whole.
 
-    The temporary file is removed when the write fails.  There is no fsync:
+    The temporary file is removed when the write fails, and an OSError names
+    path, not the temporary file.  There is no fsync:
     this survives the process dying, not the machine losing power, and a
     synthetic dataset writes hundreds of files.
     """
@@ -23,6 +24,8 @@ def write_atomic(path, payload: bytes) -> None:
     try:
         tmp.write_bytes(payload)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc.filename, exc.filename2 = str(path), None
         raise

@@ -69,15 +69,9 @@ def _mean_loss(op: str, x: T.Tensor, value, count: int, local_grad) -> T.Tensor:
     out = np.asarray(value, dtype=x.dtype).reshape(1, 1, 1, 1)
 
     def backward(gout: np.ndarray):
-        if x.requires_grad:
-            T._accum(x, local_grad() * (float(gout.reshape(())) / count))
+        T._accum(x, local_grad() * (float(gout.reshape(())) / count))
 
     return T._emit(op, out, backward)
-
-
-def _teacher_data(p_t) -> np.ndarray:
-    # Accept a tensor or raw array; either way only the values are used.
-    return p_t.data if isinstance(p_t, T.Tensor) else np.asarray(p_t)
 
 
 def ce_loss(logits: T.Tensor, gt: np.ndarray) -> T.Tensor:
@@ -119,7 +113,9 @@ def bce_loss(s_hat: T.Tensor, gt: np.ndarray) -> T.Tensor:
     )
 
 
-def _check_prob_pair(p_s: T.Tensor, p_t: np.ndarray, op: str) -> np.ndarray:
+def _check_prob_pair(p_s: T.Tensor, p_t, op: str) -> np.ndarray:
+    # Accept a tensor or raw array; either way only the values are used.
+    p_t = p_t.data if isinstance(p_t, T.Tensor) else np.asarray(p_t)
     if p_t.shape != p_s.shape:
         raise ShapeError(f"{op}: shapes differ, student {p_s.shape} vs teacher {p_t.shape}")
     return p_t.astype(p_s.dtype, copy=False)
@@ -127,14 +123,14 @@ def _check_prob_pair(p_s: T.Tensor, p_t: np.ndarray, op: str) -> np.ndarray:
 
 def mae_loss(p_s: T.Tensor, p_t) -> T.Tensor:
     """Mean absolute difference between student and (detached) teacher maps."""
-    t = _check_prob_pair(p_s, _teacher_data(p_t), "mae_loss")
+    t = _check_prob_pair(p_s, p_t, "mae_loss")
     d = p_s.data - t
     return _mean_loss("mae_loss", p_s, np.abs(d).sum() / d.size, d.size, lambda: np.sign(d))
 
 
 def mse_loss(p_s: T.Tensor, p_t) -> T.Tensor:
     """Mean squared difference between student and (detached) teacher maps."""
-    t = _check_prob_pair(p_s, _teacher_data(p_t), "mse_loss")
+    t = _check_prob_pair(p_s, p_t, "mse_loss")
     d = p_s.data - t
     return _mean_loss("mse_loss", p_s, (d * d).sum() / d.size, d.size, lambda: 2.0 * d)
 
@@ -146,7 +142,7 @@ def kl_loss(p_s: T.Tensor, p_t) -> T.Tensor:
     operands clamped to [1e-7, 1] before the logs.  Averaged over pixels
     (channel sum stays inside).
     """
-    t = _check_prob_pair(p_s, _teacher_data(p_t), "kl_loss")
+    t = _check_prob_pair(p_s, p_t, "kl_loss")
     n, c, h, w = p_s.shape
     tc = np.clip(t, CLAMP_EPS, 1.0)
     sc = np.clip(p_s.data, CLAMP_EPS, 1.0)
@@ -184,23 +180,6 @@ def soft_miou_loss(p_s: T.Tensor, gt: np.ndarray) -> T.Tensor:
     return _mean_loss("soft_miou_loss", p_s, 1.0 - iou.sum() / c, c, local_grad)
 
 
-@dataclass
-class LossParts:
-    """The three component scalars feeding the weighted total."""
-
-    gt: T.Tensor
-    boundary: T.Tensor
-    distill: T.Tensor | None = None
-
-
-def total_loss(parts: LossParts, weights: LossWeights, selection: LossSelection) -> T.Tensor:
-    """alpha1*gt + alpha2*boundary + alpha3*distill, distill skipped when absent."""
-    out = T.add(T.scale(parts.gt, weights.alpha1), T.scale(parts.boundary, weights.alpha2))
-    if selection.distill_loss != "none" and parts.distill is not None:
-        out = T.add(out, T.scale(parts.distill, weights.alpha3))
-    return out
-
-
 def compute_losses(
     logits: T.Tensor,
     probs: T.Tensor,
@@ -212,7 +191,8 @@ def compute_losses(
 ) -> tuple[T.Tensor, dict[str, float]]:
     """Assemble the training objective for one batch.
 
-    Returns the total-loss tensor plus a plain-float breakdown for logging.
+    Returns the total alpha1*gt + alpha2*boundary + alpha3*distill as a
+    tensor, plus a plain-float breakdown for logging.
     teacher_probs may be None, which drops the distillation term regardless
     of the selection.
     """
@@ -225,8 +205,9 @@ def compute_losses(
     if selection.distill_loss != "none" and teacher_probs is not None:
         fn = {"mae": mae_loss, "mse": mse_loss, "kl": kl_loss}[selection.distill_loss]
         distill_part = fn(probs, teacher_probs)
-    parts = LossParts(gt=gt_part, boundary=boundary_part, distill=distill_part)
-    total = total_loss(parts, weights, selection)
+    total = T.add(T.scale(gt_part, weights.alpha1), T.scale(boundary_part, weights.alpha2))
+    if distill_part is not None:
+        total = T.add(total, T.scale(distill_part, weights.alpha3))
     breakdown = {
         "gt": gt_part.item(),
         "boundary": boundary_part.item(),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import platform
-import statistics
 import time
 from dataclasses import dataclass, replace
 
@@ -53,19 +52,6 @@ class FlopReport:
     head: int
     by_op: dict[str, int]
     input_size: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class LatencyReport:
-    latency_ms: float  # median over the timed runs
-    runs: int
-    warmups: int
-    samples_ms: tuple[float, ...]
-    environment: dict[str, str]
-
-    @property
-    def low_confidence(self) -> bool:
-        return self.runs < 2
 
 
 def param_counts(params: dict[str, Tensor]) -> ParamCount:
@@ -112,8 +98,8 @@ def measure_latency(
     input_size: tuple[int, int] | None = None,
     warmups: int = 5,
     runs: int = 50,
-) -> LatencyReport:
-    """Median wall-clock time of a batch-of-one forward pass, after warmups."""
+) -> list[float]:
+    """Wall-clock milliseconds of each timed batch-of-one forward pass, after warmups."""
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
     if warmups < 0:
@@ -129,10 +115,4 @@ def measure_latency(
         start = time.perf_counter()
         model.forward(pre, post)
         samples.append((time.perf_counter() - start) * 1e3)
-    return LatencyReport(
-        latency_ms=float(statistics.median(samples)),
-        runs=runs,
-        warmups=warmups,
-        samples_ms=tuple(samples),
-        environment=environment_info(),
-    )
+    return samples

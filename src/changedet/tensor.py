@@ -9,7 +9,9 @@ the topological sorting we ever need.  The tape is rebuilt on every forward
 pass (define-by-run).  Tensors hold no reference to the tape, so a step's
 graph is freed when its tape is dropped.  What only backward reads (relu
 masks, the max-pool argmax) is computed inside the backward closure, so a
-forward pass with no tape never builds it.
+forward pass with no tape never builds it.  A leaf with requires_grad=False
+receives no gradient: ``_accum`` drops whatever reaches it, and conv2d,
+whose input images are such leaves, skips computing their dX.
 
 Tensors are immutable by convention: ops return new tensors and never write
 into their inputs.  A tape and its backward pass belong to a single thread.
@@ -97,8 +99,10 @@ class Tensor:
 
     grad is allocated lazily during backward; it stays None for tensors the
     loss never reaches.  Parameters in an optimizer arena (see optim) hold a
-    gradient view from the start.  requires_grad=False marks leaves (such as
-    input images) whose gradient nobody will read, letting ops skip the work.
+    gradient view from the start.  requires_grad=False marks leaves (input
+    images, a frozen teacher's parameters) whose gradient nobody reads:
+    _accum drops any gradient sent to them, and conv2d skips computing dX
+    for such an input.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -183,7 +187,9 @@ def _accum(t: Tensor, g: np.ndarray):
     # add into that buffer.  t keeps no reference to g, so callers may pass
     # read-only or broadcast views without copying them first.  A parameter
     # in an optimizer arena starts from a zeroed gradient view and
-    # accumulates straight into it.
+    # accumulates straight into it.  This is the one gate for frozen tensors:
+    # backward closures call it unconditionally, and it drops g for a tensor
+    # with requires_grad=False.
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -269,11 +275,10 @@ def conv2d(
         out += bias.data
 
     def backward(gout: np.ndarray):
-        if bias is not None and bias.requires_grad:
+        if bias is not None:
             _accum(bias, gout.sum(axis=(0, 2, 3)).reshape(bias.shape))
         go = gout.reshape(n, groups, c_out // groups, npix)
-        if weight.requires_grad:
-            _accum(weight, np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.shape))
+        _accum(weight, np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.shape))
         if not x.requires_grad:
             return
         if pointwise:
@@ -344,8 +349,7 @@ def channel_avg_pool(x: Tensor, c_out: int) -> Tensor:
     out = np.add.reduce(xs, axis=2) / g
 
     def backward(gout: np.ndarray):
-        if x.requires_grad:
-            _accum(x, np.broadcast_to((gout / g)[:, :, None], xs.shape).reshape(x.shape))
+        _accum(x, np.broadcast_to((gout / g)[:, :, None], xs.shape).reshape(x.shape))
 
     return _emit("channel_avg_pool", out, backward)
 
@@ -356,11 +360,10 @@ def channel_max_pool(x: Tensor, c_out: int) -> Tensor:
     out = np.maximum.reduce(xs, axis=2)
 
     def backward(gout: np.ndarray):
-        if x.requires_grad:
-            dx = np.zeros_like(xs)
-            idx = xs.argmax(axis=2)  # first maximal index on ties
-            np.put_along_axis(dx, idx[:, :, None], gout[:, :, None], axis=2)
-            _accum(x, dx.reshape(x.shape))
+        dx = np.zeros_like(xs)
+        idx = xs.argmax(axis=2)  # first maximal index on ties
+        np.put_along_axis(dx, idx[:, :, None], gout[:, :, None], axis=2)
+        _accum(x, dx.reshape(x.shape))
 
     return _emit("channel_max_pool", out, backward)
 
@@ -373,8 +376,7 @@ def channel_mean(x: Tensor) -> Tensor:
     out = np.add.reduce(x.data, axis=1, keepdims=True) / c
 
     def backward(gout: np.ndarray):
-        if x.requires_grad:
-            _accum(x, np.broadcast_to(gout / c, x.shape))
+        _accum(x, np.broadcast_to(gout / c, x.shape))
 
     return _emit("channel_mean", out, backward)
 
@@ -384,8 +386,7 @@ def sum_all(x: Tensor) -> Tensor:
     out = x.data.sum(dtype=x.dtype).reshape(1, 1, 1, 1)
 
     def backward(gout: np.ndarray):
-        if x.requires_grad:
-            _accum(x, np.broadcast_to(gout.reshape(()), x.shape))
+        _accum(x, np.broadcast_to(gout.reshape(()), x.shape))
 
     return _emit("sum_all", out, backward, flops=x.data.size)
 
@@ -442,8 +443,7 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     out = _resample(x.data, my, mx)
 
     def backward(gout: np.ndarray):
-        if x.requires_grad:
-            _accum(x, _resample(gout, my.T, mx.T))
+        _accum(x, _resample(gout, my.T, mx.T))
 
     return _emit("bilinear_resize", out, backward, flops=8 * out.size)
 
@@ -456,8 +456,7 @@ def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0)
 
     def backward(gout: np.ndarray):
-        if x.requires_grad:
-            _accum(x, gout * (x.data > 0))  # subgradient 0 at x == 0
+        _accum(x, gout * (x.data > 0))  # subgradient 0 at x == 0
 
     return _emit("relu", out, backward)
 
@@ -466,8 +465,7 @@ def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
 
     def backward(gout: np.ndarray):
-        if x.requires_grad:
-            _accum(x, gout * (1 - out * out))
+        _accum(x, gout * (1 - out * out))
 
     return _emit("tanh", out, backward)
 
@@ -476,8 +474,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = _sigmoid_array(x.data)
 
     def backward(gout: np.ndarray):
-        if x.requires_grad:
-            _accum(x, gout * out * (1 - out))
+        _accum(x, gout * out * (1 - out))
 
     return _emit("sigmoid", out, backward)
 
@@ -530,10 +527,8 @@ def mul_broadcast(gate: Tensor, x: Tensor) -> Tensor:
     out = gate.data * x.data
 
     def backward(gout: np.ndarray):
-        if gate.requires_grad:
-            _accum(gate, (gout * x.data).sum(axis=1, keepdims=True))
-        if x.requires_grad:
-            _accum(x, gout * gate.data)
+        _accum(gate, (gout * x.data).sum(axis=1, keepdims=True))
+        _accum(x, gout * gate.data)
 
     return _emit("mul_broadcast", out, backward)
 
@@ -544,8 +539,7 @@ def scale(x: Tensor, k: float) -> Tensor:
     out = x.data * k
 
     def backward(gout: np.ndarray):
-        if x.requires_grad:
-            _accum(x, gout * k)
+        _accum(x, gout * k)
 
     return _emit("scale", out, backward)
 
@@ -579,8 +573,7 @@ def softmax_channel(x: Tensor) -> Tensor:
     out = e / e.sum(axis=1, keepdims=True)
 
     def backward(gout: np.ndarray):
-        if x.requires_grad:
-            inner = (gout * out).sum(axis=1, keepdims=True)
-            _accum(x, out * (gout - inner))
+        inner = (gout * out).sum(axis=1, keepdims=True)
+        _accum(x, out * (gout - inner))
 
     return _emit("softmax_channel", out, backward)

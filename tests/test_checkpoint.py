@@ -40,20 +40,6 @@ def test_round_trip_preserves_forward_outputs(tiny_model, tmp_path):
     assert np.array_equal(a.boundary.data, b.boundary.data)
 
 
-def test_expect_config_accepts_match(tiny_model, tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(tiny_model, path)
-    loaded = load_checkpoint(path, expect_config=M.preset("nano"))
-    assert loaded.config == M.preset("nano")
-
-
-def test_expect_config_rejects_mismatch(tiny_model, tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(tiny_model, path)
-    with pytest.raises(CompatibilityError):
-        load_checkpoint(path, expect_config=M.preset("tiny"))
-
-
 def test_truncated_file_rejected(tiny_model, tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(tiny_model, path)
@@ -132,6 +118,15 @@ def test_non_utf8_tensor_name_rejected(tiny_model, tmp_path):
     name_len = len(M.parameter_names(tiny_model.config)[0].encode("utf-8"))
     path.write_bytes(_with_first_name(blob, b"\xff" * name_len))
     with pytest.raises(FormatError, match="UTF-8"):
+        load_checkpoint(path)
+
+
+def test_tensor_name_outside_the_config_rejected(tiny_model, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(tiny_model, path)
+    first = M.parameter_names(tiny_model.config)[0].encode("utf-8")
+    path.write_bytes(_with_first_name(path.read_bytes(), first[:-1] + b"z"))
+    with pytest.raises(CompatibilityError, match="tensor names do not match the config"):
         load_checkpoint(path)
 
 

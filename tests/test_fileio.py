@@ -38,3 +38,12 @@ def test_failed_replace_keeps_the_old_file_and_leaves_no_temp(kind, tmp_path, mo
         WRITERS[kind](tmp_path, target)
     assert target.read_bytes() == b"the previous good file"
     assert [p.name for p in target.parent.iterdir() if p.is_file()] == [target.name]
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "ppm", "pgm"])
+def test_missing_directory_error_names_the_target_not_the_temp_file(kind, tmp_path):
+    target = tmp_path / "nodir" / "m.pgm"
+    with pytest.raises(FileNotFoundError) as info:
+        WRITERS[kind](tmp_path, target)
+    assert info.value.filename == str(target)
+    assert "m.pgm" in str(info.value) and ".tmp" not in str(info.value)

@@ -204,36 +204,45 @@ class TestSoftMiouLoss:
 
 
 class TestTotalLoss:
+    """The total compute_losses returns: alpha1*gt + alpha2*boundary + alpha3*distill."""
+
     @staticmethod
-    def _const(v):
-        return T.Tensor(np.full((1, 1, 1, 1), v, np.float64))
+    def _total(weights, selection, logits=None, teacher=True):
+        # Zero logits give p = 0.5 everywhere: ce and the bce of that map are
+        # both ln 2, and mae against a (0.3, 0.7) teacher is 0.2.
+        logits = T.Tensor(np.zeros((1, 2, 4, 4)) if logits is None else logits)
+        gt = rand_mask((1, 2, 4, 4), 60)
+        probs = T.softmax_channel(logits)
+        boundary = T.channel_max_pool(probs, 1)
+        teacher_probs = np.concatenate([np.full((1, 1, 4, 4), 0.3), np.full((1, 1, 4, 4), 0.7)], axis=1)
+        return L.compute_losses(logits, probs, boundary, gt, teacher_probs if teacher else None, weights, selection)
 
     def test_weighted_sum_hand_value(self):
-        parts = L.LossParts(gt=self._const(0.6), boundary=self._const(0.4), distill=self._const(0.2))
-        total = L.total_loss(parts, L.LossWeights(1.0, 0.5, 1.0), L.LossSelection("ce", "mae"))
-        assert total.item() == pytest.approx(1.0, rel=1e-12)
+        total, parts = self._total(L.LossWeights(1.0, 0.5, 1.0), L.LossSelection("ce", "mae"))
+        assert total.item() == pytest.approx(1.5 * np.log(2.0) + 0.2, rel=1e-12)
+        assert parts["total"] == total.item()
 
     def test_alpha3_zero_equals_none_selection(self):
-        parts = L.LossParts(gt=self._const(0.6), boundary=self._const(0.4), distill=self._const(0.2))
-        a = L.total_loss(parts, L.LossWeights(1.0, 0.5, 0.0), L.LossSelection("ce", "mae")).item()
-        parts_b = L.LossParts(gt=self._const(0.6), boundary=self._const(0.4), distill=None)
-        b = L.total_loss(parts_b, L.LossWeights(1.0, 0.5, 1.0), L.LossSelection("ce", "none")).item()
-        assert a == b
+        logits = np.random.default_rng(61).normal(size=(1, 2, 4, 4))
+        a = self._total(L.LossWeights(1.0, 0.5, 0.0), L.LossSelection("ce", "mae"), logits)[0].item()
+        b = self._total(L.LossWeights(1.0, 0.5, 1.0), L.LossSelection("ce", "none"), logits)[0].item()
+        c = self._total(L.LossWeights(1.0, 0.5, 1.0), L.LossSelection("ce", "mae"), logits, teacher=False)[0].item()
+        assert a == b == c
 
     def test_all_zero_parts_give_zero(self):
-        parts = L.LossParts(gt=self._const(0.0), boundary=self._const(0.0), distill=self._const(0.0))
-        total = L.total_loss(parts, L.LossWeights(), L.LossSelection())
+        # Zero weights make every weighted part zero.
+        total, _ = self._total(L.LossWeights(0.0, 0.0, 0.0), L.LossSelection("ce", "mae"))
         assert total.item() == 0.0
 
     def test_linear_in_each_alpha(self):
-        vals = (0.3, 0.7, 0.9)
-        for i in range(3):
+        logits = np.random.default_rng(62).normal(size=(1, 2, 4, 4))
+        selection = L.LossSelection("ce", "mae")
+        base, parts = self._total(L.LossWeights(1.0, 1.0, 1.0), selection, logits)
+        for i, key in enumerate(("gt", "boundary", "distill")):
             alphas = [1.0, 1.0, 1.0]
             alphas[i] = 2.0
-            parts = lambda: L.LossParts(self._const(vals[0]), self._const(vals[1]), self._const(vals[2]))
-            base = L.total_loss(parts(), L.LossWeights(1.0, 1.0, 1.0), L.LossSelection("ce", "mae")).item()
-            double = L.total_loss(parts(), L.LossWeights(*alphas), L.LossSelection("ce", "mae")).item()
-            assert double - base == pytest.approx(vals[i], rel=1e-9)
+            double = self._total(L.LossWeights(*alphas), selection, logits)[0].item()
+            assert double - base.item() == pytest.approx(parts[key], rel=1e-9)
 
     def test_weight_validation(self):
         with pytest.raises(ConfigError):

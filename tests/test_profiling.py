@@ -6,6 +6,7 @@ from changedet.errors import ConfigError
 from changedet.model import ChangeDetector, ConvSpec, init_params, preset
 from changedet.profiling import (
     count_flops,
+    environment_info,
     measure_latency,
     param_counts,
 )
@@ -111,24 +112,19 @@ class TestCountFlops:
 class TestMeasureLatency:
     def test_single_run_reports_its_only_sample(self):
         model = ChangeDetector(preset("nano", input_size=(32, 32)))
-        r = measure_latency(model, warmups=0, runs=1)
-        assert r.runs == 1
-        assert r.latency_ms == r.samples_ms[0]
-        assert r.low_confidence
+        samples = measure_latency(model, warmups=0, runs=1)
+        assert len(samples) == 1 and samples[0] > 0
 
-    def test_median_of_runs(self):
+    def test_one_positive_sample_per_run(self):
         model = ChangeDetector(preset("nano", input_size=(32, 32)))
-        r = measure_latency(model, warmups=1, runs=3)
-        assert (r.runs, r.warmups, len(r.samples_ms)) == (3, 1, 3)
-        assert r.latency_ms == sorted(r.samples_ms)[1]
-        assert not r.low_confidence
-        assert all(s > 0 for s in r.samples_ms)
+        samples = measure_latency(model, warmups=1, runs=3)
+        assert len(samples) == 3
+        assert all(s > 0 for s in samples)
 
     def test_environment_is_recorded(self):
-        model = ChangeDetector(preset("nano", input_size=(32, 32)))
-        r = measure_latency(model, warmups=0, runs=1)
-        assert set(r.environment) >= {"platform", "python", "numpy"}
-        assert r.environment["numpy"] == np.__version__
+        env = environment_info()
+        assert set(env) >= {"platform", "python", "numpy"}
+        assert env["numpy"] == np.__version__
 
     def test_invalid_run_counts_rejected(self):
         model = ChangeDetector(preset("nano", input_size=(32, 32)))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from changedet import losses as L
 from changedet import tensor as T
 from changedet.errors import ConfigError, GraphError, NumericError, ShapeError
 
@@ -508,6 +509,41 @@ class TestCombine:
         np.testing.assert_allclose(xt.grad.sum(axis=1), 0.0, atol=1e-12)
 
 
+def _probs(seed, c=2):
+    return rand((2, c, 3, 3), seed, np.float64, 0.05, 0.95)
+
+
+GT = (rand((2, 1, 3, 3), 33, np.float64, 0.0, 1.0) > 0.5).astype(np.int64)
+
+# Every op and loss with its operands, by name.  Each operand in turn is
+# frozen in test_requires_grad_false_receives_no_grad.
+FROZEN_CASES = {
+    "conv2d": (
+        lambda x, weight, bias: T.conv2d(x, weight, bias, padding=1),
+        {"x": rand((2, 2, 3, 3), 30), "weight": rand((2, 2, 3, 3), 31), "bias": rand((1, 2, 1, 1), 34)},
+    ),
+    "channel_avg_pool": (lambda x: T.channel_avg_pool(x, 2), {"x": rand((2, 4, 3, 3), 35)}),
+    "channel_max_pool": (lambda x: T.channel_max_pool(x, 2), {"x": rand((2, 4, 3, 3), 36)}),
+    "channel_mean": (T.channel_mean, {"x": rand((2, 4, 3, 3), 37)}),
+    "sum_all": (T.sum_all, {"x": rand((2, 4, 3, 3), 38)}),
+    "bilinear_resize": (lambda x: T.bilinear_resize(x, 4, 6), {"x": rand((2, 2, 3, 3), 39)}),
+    "relu": (T.relu, {"x": rand((2, 2, 3, 3), 40)}),
+    "tanh": (T.tanh, {"x": rand((2, 2, 3, 3), 41)}),
+    "sigmoid": (T.sigmoid, {"x": rand((2, 2, 3, 3), 42)}),
+    "add": (T.add, {"a": rand((2, 2, 3, 3), 43), "b": rand((2, 2, 3, 3), 44)}),
+    "mul_broadcast": (T.mul_broadcast, {"gate": rand((2, 1, 3, 3), 45), "x": rand((2, 4, 3, 3), 47)}),
+    "scale": (lambda x: T.scale(x, 3.0), {"x": rand((2, 2, 3, 3), 48)}),
+    "concat_channel": (lambda a, b: T.concat_channel([a, b]), {"a": rand((2, 1, 3, 3), 49), "b": rand((2, 3, 3, 3), 50)}),
+    "softmax_channel": (T.softmax_channel, {"x": rand((2, 3, 3, 3), 51)}),
+    "ce_loss": (lambda x: L.ce_loss(x, GT), {"x": rand((2, 2, 3, 3), 52, np.float64)}),
+    "bce_loss": (lambda x: L.bce_loss(x, GT), {"x": _probs(53, c=1)}),
+    "mae_loss": (lambda x: L.mae_loss(x, _probs(54)), {"x": _probs(55)}),
+    "mse_loss": (lambda x: L.mse_loss(x, _probs(56)), {"x": _probs(57)}),
+    "kl_loss": (lambda x: L.kl_loss(x, _probs(58)), {"x": _probs(59)}),
+    "soft_miou_loss": (lambda x: L.soft_miou_loss(x, GT), {"x": _probs(60)}),
+}
+
+
 class TestTapeMechanics:
     def test_no_tape_means_no_recording(self):
         xt = T.Tensor(rand((1, 1, 2, 2), 27))
@@ -552,14 +588,30 @@ class TestTapeMechanics:
             pass
         assert T.active_tape() is None
 
-    def test_requires_grad_false_receives_no_grad(self):
-        x = T.Tensor(rand((1, 1, 2, 2), 30), requires_grad=False)
-        w = T.Tensor(rand((1, 1, 1, 1), 31))
-        with T.Tape() as tape:
-            loss = T.sum_all(T.conv2d(x, w))
-        tape.backward(loss)
-        assert x.grad is None
-        assert w.grad is not None
+    @pytest.mark.parametrize(
+        "op,frozen",
+        [
+            pytest.param(op, i, id=f"{op}-{name}")
+            for op, (_, operands) in FROZEN_CASES.items()
+            for i, name in enumerate(operands)
+        ],
+    )
+    def test_requires_grad_false_receives_no_grad(self, op, frozen):
+        fn, operands = FROZEN_CASES[op]
+
+        def grads(frozen_index):
+            ts = [T.Tensor(a, requires_grad=i != frozen_index) for i, a in enumerate(operands.values())]
+            with T.Tape() as tape:
+                loss = T.sum_all(fn(*ts))
+            tape.backward(loss)
+            return [t.grad for t in ts]
+
+        want, got = grads(None), grads(frozen)
+        assert all(g is not None for g in want)
+        assert got[frozen] is None
+        for i in range(len(got)):
+            if i != frozen:
+                np.testing.assert_array_equal(got[i], want[i])
 
     def test_grad_accumulates_across_branches(self):
         xt = T.Tensor(rand((1, 1, 2, 2), 32))
