@@ -44,17 +44,3 @@ class NumericError(ChangeDetError):
 
     exit_code = 3
 
-
-class TrainingDiverged(ChangeDetError):
-    """Training loss became non-finite; carries the failing step context."""
-
-    exit_code = 3
-
-    def __init__(self, epoch, batch, parts):
-        self.epoch = epoch
-        self.batch = batch
-        self.parts = parts
-        super().__init__(
-            f"non-finite loss at epoch {epoch}, batch {batch}: "
-            + ", ".join(f"{k}={v}" for k, v in parts.items())
-        )

@@ -174,15 +174,11 @@ class PyramidFeatures:
 class FusionDetail:
     """Fusion intermediates, all at the common (stride-4) resolution."""
 
-    s1: Tensor
-    s2: Tensor
-    s3: Tensor
-    s4: Tensor
+    s3: Tensor  # resized stage 3
+    s4: Tensor  # resized stage 4
     gate: Tensor | None = None  # tanh of the stage-3 channel mean
     e4: Tensor | None = None  # gated pooled stage 4
     e4_plus: Tensor | None = None  # stage 3 + e4
-    s3_pooled: Tensor | None = None
-    s2_pooled: Tensor | None = None
 
 
 @dataclass
@@ -247,6 +243,11 @@ def encoder_forward(params: dict[str, Tensor], config: ModelConfig, f: Tensor) -
     return PyramidFeatures(*stages)
 
 
+def _resize_to_s1(pyr: PyramidFeatures) -> list[Tensor]:
+    """s2, s3 and s4 bilinearly resized to the spatial size of s1."""
+    return [T.bilinear_resize(s, *pyr.s1.shape[2:]) for s in (pyr.s2, pyr.s3, pyr.s4)]
+
+
 def emff_fuse(pyr: PyramidFeatures, widths: tuple[int, int, int, int]) -> tuple[Tensor, Tensor, FusionDetail]:
     """Parameter-free pyramid fusion at the finest pyramid resolution.
 
@@ -256,11 +257,8 @@ def emff_fuse(pyr: PyramidFeatures, widths: tuple[int, int, int, int]) -> tuple[
     map concatenates (S1 + cascade) with the resized original deepest map,
     giving C1 + C4 channels and zero learnable parameters.
     """
-    c1, c2, c3, c4 = widths
-    n, _, h, w = pyr.s1.shape
-    s2r = T.bilinear_resize(pyr.s2, h, w)
-    s3r = T.bilinear_resize(pyr.s3, h, w)
-    s4r = T.bilinear_resize(pyr.s4, h, w)
+    c1, c2, c3, _ = widths
+    s2r, s3r, s4r = _resize_to_s1(pyr)
     s4_pooled = T.channel_avg_pool(s4r, c3)
     gate = T.tanh(T.channel_mean(s3r))
     e4 = T.mul_broadcast(gate, s4_pooled)
@@ -269,26 +267,18 @@ def emff_fuse(pyr: PyramidFeatures, widths: tuple[int, int, int, int]) -> tuple[
     s2_pooled = T.channel_max_pool(T.add(s2r, s3_pooled), c1)
     fused = T.concat_channel([T.add(pyr.s1, s2_pooled), s4r])
     fused_mean = T.channel_mean(fused)
-    detail = FusionDetail(
-        s1=pyr.s1, s2=s2r, s3=s3r, s4=s4r,
-        gate=gate, e4=e4, e4_plus=e4_plus,
-        s3_pooled=s3_pooled, s2_pooled=s2_pooled,
-    )
-    return fused, fused_mean, detail
+    return fused, fused_mean, FusionDetail(s3=s3r, s4=s4r, gate=gate, e4=e4, e4_plus=e4_plus)
 
 
 def naive_fuse(
     params: dict[str, Tensor], pyr: PyramidFeatures, config: ModelConfig
 ) -> tuple[Tensor, Tensor, FusionDetail]:
     """Baseline fusion: resize, concatenate all widths, 1x1-project to C1+C4."""
-    n, _, h, w = pyr.s1.shape
-    s2r = T.bilinear_resize(pyr.s2, h, w)
-    s3r = T.bilinear_resize(pyr.s3, h, w)
-    s4r = T.bilinear_resize(pyr.s4, h, w)
+    s2r, s3r, s4r = _resize_to_s1(pyr)
     cat = T.concat_channel([pyr.s1, s2r, s3r, s4r])
     fused = _conv(params, _spec_map(config)["fuse.proj"], cat)
     fused_mean = T.channel_mean(fused)
-    return fused, fused_mean, FusionDetail(s1=pyr.s1, s2=s2r, s3=s3r, s4=s4r)
+    return fused, fused_mean, FusionDetail(s3=s3r, s4=s4r)
 
 
 def head_forward(

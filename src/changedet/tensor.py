@@ -337,21 +337,28 @@ def _windows(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
 
 def _group_view(x: Tensor, c_out: int, op: str):
     n, c, h, w = x.shape
+    if c < 1:
+        raise ShapeError(f"{op}: empty channel axis")
     if c_out < 1 or c % c_out != 0:
         raise ConfigError(f"{op}: c_out={c_out} must divide C={c}")
     g = c // c_out
     return x.data.reshape(n, c_out, g, h, w), g
 
 
-def channel_avg_pool(x: Tensor, c_out: int) -> Tensor:
-    """Mean over contiguous channel groups of size C/c_out."""
-    xs, g = _group_view(x, c_out, "channel_avg_pool")
+def _group_mean(x: Tensor, c_out: int, op: str):
+    """(out, backward) of the mean over contiguous channel groups, for _emit."""
+    xs, g = _group_view(x, c_out, op)
     out = np.add.reduce(xs, axis=2) / g
 
     def backward(gout: np.ndarray):
         _accum(x, np.broadcast_to((gout / g)[:, :, None], xs.shape).reshape(x.shape))
 
-    return _emit("channel_avg_pool", out, backward)
+    return out, backward
+
+
+def channel_avg_pool(x: Tensor, c_out: int) -> Tensor:
+    """Mean over contiguous channel groups of size C/c_out."""
+    return _emit("channel_avg_pool", *_group_mean(x, c_out, "channel_avg_pool"))
 
 
 def channel_max_pool(x: Tensor, c_out: int) -> Tensor:
@@ -370,15 +377,7 @@ def channel_max_pool(x: Tensor, c_out: int) -> Tensor:
 
 def channel_mean(x: Tensor) -> Tensor:
     """Mean over the channel axis, keeping a singleton channel."""
-    n, c, h, w = x.shape
-    if c < 1:
-        raise ShapeError("channel_mean: empty channel axis")
-    out = np.add.reduce(x.data, axis=1, keepdims=True) / c
-
-    def backward(gout: np.ndarray):
-        _accum(x, np.broadcast_to(gout / c, x.shape))
-
-    return _emit("channel_mean", out, backward)
+    return _emit("channel_mean", *_group_mean(x, 1, "channel_mean"))
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import BitemporalSample, batch_iter, load_index
-from .errors import ConfigError, DataError, NumericError, TrainingDiverged
+from .errors import ConfigError, DataError, NumericError
 from .losses import LossSelection, LossWeights, compute_losses
 from .metrics import evaluate
 from .model import ChangeDetector
@@ -243,8 +243,6 @@ class FitResult:
 
 
 def _augment_batch(pre, post, mask, rng, config: AugmentConfig):
-    if not config.enabled:
-        return pre, post, mask
     outs = [augment_pair(BitemporalSample(pre[i], post[i], mask[i]), rng, config) for i in range(pre.shape[0])]
     return (
         np.stack([s.pre for s in outs]),
@@ -259,7 +257,7 @@ def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=No
     One optimizer step per batch; the LR decays linearly over all steps of
     the run.  The per-epoch log records the training loss (sample-weighted
     mean over the epoch) with its three parts and the validation metrics.
-    A non-finite loss aborts with the failing epoch, batch, and loss parts.
+    A non-finite op output aborts with a NumericError naming epoch, batch, op and stage.
     """
     train_index = load_index(data_root, "train")
     val_index = load_index(data_root, "val")
@@ -283,7 +281,6 @@ def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=No
             teacher_probs = None
             if teacher is not None and config.selection.distill_loss != "none":
                 teacher_probs = teacher.predict(pre, post, mask)
-            parts: dict[str, float] = {}
             try:
                 with Tape() as tape:
                     out = student.forward(pre, post)
@@ -291,8 +288,6 @@ def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=No
                         out.logits, out.probs, out.boundary, mask[:, None],
                         teacher_probs, config.weights, config.selection,
                     )
-                    if not math.isfinite(parts["total"]):
-                        raise TrainingDiverged(epoch, batch_idx, parts)
                     tape.backward(total)
                 adamw_step(
                     params, state, lr_at(step, total_steps, config.base_lr),
@@ -300,7 +295,7 @@ def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=No
                     eps=config.adam_eps, weight_decay=config.weight_decay,
                 )
             except NumericError as exc:
-                raise TrainingDiverged(epoch, batch_idx, parts or {"forward": str(exc)}) from exc
+                raise NumericError(f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
             finally:
                 zero_grads(params, state)
             n = pre.shape[0]

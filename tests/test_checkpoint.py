@@ -84,11 +84,14 @@ def _first_tensor_offset(blob: bytes) -> int:
     return 16 + cfg_len  # magic, version, config length, config, tensor count
 
 
+def _first_dtype_offset(blob: bytes) -> int:
+    at = _first_tensor_offset(blob)
+    return at + 4 + struct.unpack("<I", blob[at : at + 4])[0]  # past the name length and name
+
+
 def _with_first_dims(blob: bytes, dims) -> bytes:
     """blob with the first tensor's dims header replaced (same ndim)."""
-    at = _first_tensor_offset(blob)
-    name_len = struct.unpack("<I", blob[at : at + 4])[0]
-    dims_at = at + 4 + name_len + 1 + 4
+    dims_at = _first_dtype_offset(blob) + 1 + 4
     return blob[:dims_at] + struct.pack(f"<{len(dims)}I", *dims) + blob[dims_at + 4 * len(dims) :]
 
 
@@ -127,6 +130,38 @@ def test_tensor_name_outside_the_config_rejected(tiny_model, tmp_path):
     first = M.parameter_names(tiny_model.config)[0].encode("utf-8")
     path.write_bytes(_with_first_name(path.read_bytes(), first[:-1] + b"z"))
     with pytest.raises(CompatibilityError, match="tensor names do not match the config"):
+        load_checkpoint(path)
+
+
+def test_unknown_dtype_code_rejected(tiny_model, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(tiny_model, path)
+    blob = path.read_bytes()
+    at = _first_dtype_offset(blob)
+    path.write_bytes(blob[:at] + b"\x07" + blob[at + 1 :])
+    with pytest.raises(FormatError, match="unknown dtype code 7 for tensor 'stem.pre.w'"):
+        load_checkpoint(path)
+
+
+def test_tensor_of_rank_other_than_4_rejected(tiny_model, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(tiny_model, path)
+    blob = path.read_bytes()
+    at = _first_dtype_offset(blob) + 1
+    path.write_bytes(blob[:at] + struct.pack("<I", 3) + blob[at + 4 :])
+    with pytest.raises(FormatError, match="tensor 'stem.pre.w' has ndim 3, expected 4"):
+        load_checkpoint(path)
+
+
+def test_duplicate_tensor_name_rejected(tiny_model, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(tiny_model, path)
+    first, second = (n.encode("utf-8") for n in M.parameter_names(tiny_model.config)[:2])
+    assert len(first) == len(second)
+    blob = path.read_bytes()
+    at = blob.index(second, _first_tensor_offset(blob))
+    path.write_bytes(blob[:at] + first + blob[at + len(second) :])
+    with pytest.raises(FormatError, match="duplicate tensor 'stem.pre.w'"):
         load_checkpoint(path)
 
 

@@ -183,6 +183,18 @@ def test_train_rerun_reproduces(capsys, nano_run, tmp_path):
     assert ckpt2.read_bytes() == nano_run.ckpt.read_bytes()
 
 
+def test_train_oracle_teacher_into_a_new_directory(capsys, nano_run, tmp_path):
+    ckpt = tmp_path / "new" / "deeper" / "s.ckpt"
+    code, out, _ = run_cli(
+        capsys, "train", "--config", nano_run.config, "--data", nano_run.data, "--out", ckpt, "--oracle-teacher",
+    )
+    assert code == 0
+    assert echoed_config(out).train.teacher_mode == "oracle"
+    epoch_lines = [ln for ln in out.splitlines() if ln.startswith("epoch=")]
+    assert len(epoch_lines) == 2 and not any(" distill=0.0 " in ln for ln in epoch_lines)
+    assert load_checkpoint(ckpt).config == preset("nano")
+
+
 def test_train_missing_teacher_checkpoint(capsys, data_root, tmp_path):
     code, _, err = run_cli(
         capsys, "train", "--data", data_root, "--out", tmp_path / "s.npz",
@@ -343,6 +355,16 @@ def test_bench_from_checkpoint(capsys, nano_run):
     assert code == 0
     assert "params total = " in out
     assert "env " in out
+
+
+def test_bench_from_config(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[model]\npreset = nano\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "bench", "--config", cfg, "--size", 32, "--runs", 1, "--warmup", 0)
+    assert code == 0
+    assert f"\n# config = {cfg}\n" in out
+    assert echoed_config(out).model == preset("nano")
+    assert "\nparams total = 125906\n" in out
 
 
 def test_bench_config_with_three_value_input_size_exits_2(capsys, tmp_path):

@@ -71,6 +71,22 @@ class TestNetpbm:
         with pytest.raises(FormatError):
             netpbm.load_pgm(p)
 
+    @pytest.mark.parametrize(
+        "blob,message",
+        [
+            (b"P5\n2 1", "header ended before width/height/maxval"),
+            (b"P5\n2 x1\n255\n\x00\x00", r"unexpected byte b'x' in header"),
+            (b"P5\n2 1\n255", "missing whitespace after maxval"),
+            (b"P5\n0 1\n255\n", "bad dimensions 0x1"),
+        ],
+        ids=["ends-early", "unexpected-byte", "no-whitespace-after-maxval", "zero-width"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, blob, message):
+        p = tmp_path / "img.pgm"
+        p.write_bytes(blob)
+        with pytest.raises(FormatError, match=message):
+            netpbm.load_pgm(p)
+
     def test_comments_in_header_ok(self, tmp_path):
         p = tmp_path / "img.pgm"
         p.write_bytes(b"P5\n# a comment\n2 1\n# more\n255\n\x07\xff")
@@ -188,6 +204,13 @@ class TestGenerateDataset:
         D.sample_paths(tmp_path, "test", victim)[1].unlink()
         with pytest.raises(DataError, match=victim):
             D.load_sample(idx, victim)
+
+    def test_inconsistent_shapes_rejected(self, tmp_path):
+        idx = D.generate_synthetic_dataset(small_cfg(), tmp_path)["val"]
+        label = D.sample_paths(tmp_path, "val", idx.ids[0])[2]
+        netpbm.save_pgm(np.zeros((32, 16), np.float32), label)
+        with pytest.raises(DataError, match=r"inconsistent shapes pre=\(3, 32, 32\) post=\(3, 32, 32\) mask=\(32, 16\)"):
+            D.load_sample(idx, idx.ids[0])
 
     def test_nonbinary_mask_rejected(self, tmp_path):
         idx = D.generate_synthetic_dataset(small_cfg(), tmp_path)["val"]

@@ -308,6 +308,15 @@ class TestChannelPools:
         with pytest.raises(ConfigError):
             T.channel_max_pool(x, 5)
 
+    @pytest.mark.parametrize(
+        "op",
+        [lambda t: T.channel_avg_pool(t, 1), lambda t: T.channel_max_pool(t, 1), T.channel_mean],
+        ids=["channel_avg_pool", "channel_max_pool", "channel_mean"],
+    )
+    def test_empty_channel_axis_rejected(self, op):
+        with pytest.raises(ShapeError, match="empty channel axis"):
+            op(T.Tensor(np.zeros((1, 0, 2, 2), np.float32)))
+
 
 @pytest.mark.parametrize("op", [T.relu, lambda t: T.channel_max_pool(t, 2)], ids=["relu", "channel_max_pool"])
 def test_backward_keeps_no_forward_built_array(op):

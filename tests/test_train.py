@@ -14,7 +14,7 @@ import changedet
 from changedet import train
 from changedet.checkpoint import save_checkpoint
 from changedet.data import BitemporalSample, SynthConfig, generate_synthetic_dataset, load_index
-from changedet.errors import ConfigError, DataError, TrainingDiverged
+from changedet.errors import ConfigError, DataError, NumericError
 from changedet.losses import LossSelection, LossWeights
 from changedet.metrics import ConfusionCounts, MetricsReport, evaluate
 from changedet.model import ChangeDetector, preset
@@ -309,9 +309,9 @@ class TestFit:
         for p in student.params.values():
             p.data[:] = 1e30
         cfg = TrainConfig(batch_size=4, epochs=1, seed=6, augment=NO_AUG)
-        with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as info:
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as info:
             fit(student, None, train_root, cfg)
-        assert info.value.epoch == 1
+        assert str(info.value) == "epoch 1, batch 0: conv2d produced non-finite values in stage stem"
         assert info.value.exit_code == 3
 
     def test_empty_split_rejected(self, tmp_path):
