@@ -14,7 +14,7 @@ Little-endian layout:
 
 Values are stored as 32-bit reals; a model held in 64-bit verification mode
 is narrowed on save.  Loading rebuilds the model from the embedded config,
-so a checkpoint is self-contained.
+so a checkpoint is self-contained; a non-finite value is a format error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import model_text, parse_model_text
-from .errors import CompatibilityError, ConfigError, FormatError
+from .errors import ConfigError, DataError, FormatError
 from .fileio import write_atomic
 from .model import ChangeDetector, parameter_names
 from .tensor import REAL32, Tensor
@@ -78,6 +78,8 @@ class _Reader:
 def load_checkpoint(path) -> ChangeDetector:
     """Rebuild a model from a checkpoint file."""
     path = Path(path)
+    if not path.is_file():
+        raise DataError(f"checkpoint not found: {path}")
     r = _Reader(path.read_bytes())
     if r.take(4) != MAGIC:
         raise FormatError(f"{path.name}: bad magic, not a checkpoint file")
@@ -110,6 +112,8 @@ def load_checkpoint(path) -> ChangeDetector:
             )
         raw = r.take(n_bytes)
         data = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(REAL32)
+        if not np.isfinite(data).all():
+            raise FormatError(f"{path.name}: tensor {name!r} holds non-finite values")
         if name in tensors:
             raise FormatError(f"{path.name}: duplicate tensor {name!r}")
         tensors[name] = Tensor(data)
@@ -118,7 +122,7 @@ def load_checkpoint(path) -> ChangeDetector:
     want = parameter_names(config)
     if set(tensors) != set(want):
         diff = sorted(set(tensors) ^ set(want))
-        raise CompatibilityError(f"{path.name}: tensor names do not match the config: {diff[:6]}")
+        raise FormatError(f"{path.name}: tensor names do not match the config: {diff[:6]}")
     ordered = {name: tensors[name] for name in want}
     try:
         return ChangeDetector(config, params=ordered)

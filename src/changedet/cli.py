@@ -136,7 +136,7 @@ def _metrics_lines(report) -> list[str]:
 
 
 def cmd_eval(args, out: _Output) -> int:
-    model = load_checkpoint(_require_file(args.ckpt, "checkpoint"))
+    model = load_checkpoint(args.ckpt)
     rc = RunConfig(model=model.config)
     _echo(out, "eval", [("ckpt", args.ckpt), ("data", args.data), ("split", args.split)], rc, ("model",))
     index = load_index(args.data, args.split)
@@ -148,7 +148,7 @@ def cmd_eval(args, out: _Output) -> int:
 
 
 def cmd_predict(args, out: _Output) -> int:
-    model = load_checkpoint(_require_file(args.ckpt, "checkpoint"))
+    model = load_checkpoint(args.ckpt)
     rc = RunConfig(model=model.config)
     _echo(
         out, "predict",
@@ -170,7 +170,7 @@ def cmd_predict(args, out: _Output) -> int:
 
 def cmd_bench(args, out: _Output) -> int:
     if args.ckpt is not None:
-        model = load_checkpoint(_require_file(args.ckpt, "checkpoint"))
+        model = load_checkpoint(args.ckpt)
         source = ("ckpt", args.ckpt)
     elif args.config is not None:
         model = ChangeDetector(_load_config_arg(args.config).model)

@@ -5,9 +5,10 @@ documented default, unknown sections or keys rejected outright so a typo
 cannot silently fall back to a default.  `effective_text` renders a config
 back to file syntax with every default resolved; parsing that text
 reproduces the config exactly, which is what makes the echoed header of
-each command sufficient to rerun it.  The key table `SCHEMA` is the single
-source of truth for the format: run-config parsing, the rendered text and
-the model text embedded in checkpoints all read it.
+each command sufficient to rerun it.  The config dataclasses are the
+schema: the key table `SCHEMA` is derived from their fields, and run-config
+parsing, the rendered text and the model text embedded in checkpoints all
+read it.
 """
 
 from __future__ import annotations
@@ -30,63 +31,49 @@ class RunConfig:
     data: SynthConfig = SynthConfig()
 
 
-# Per section, in rendering order: each key and its path into RunConfig.  A
-# trailing index addresses one end of a pair field that the file spells as
-# two keys.  A value's type is the type of its default.  [model] also accepts
-# `preset`, which picks the base model config and is never rendered.
-SCHEMA: dict[str, tuple[tuple[str, tuple], ...]] = {
-    "model": (
-        ("stem_channels", ("model", "stem_channels")),
-        ("encoder_widths", ("model", "encoder_widths")),
-        ("encoder_depths", ("model", "encoder_depths")),
-        ("head_hidden", ("model", "head_hidden")),
-        ("input_size", ("model", "input_size")),
-        ("fusion_mode", ("model", "fusion_mode")),
-    ),
-    "train": (
-        ("batch_size", ("train", "batch_size")),
-        ("base_lr", ("train", "base_lr")),
-        ("weight_decay", ("train", "weight_decay")),
-        ("beta1", ("train", "beta1")),
-        ("beta2", ("train", "beta2")),
-        ("adam_eps", ("train", "adam_eps")),
-        ("epochs", ("train", "epochs")),
-        ("seed", ("train", "seed")),
-        ("teacher_mode", ("train", "teacher_mode")),
-        ("teacher_checkpoint", ("train", "teacher_checkpoint")),
-        ("augment", ("train", "augment", "enabled")),
-        ("flip_prob", ("train", "augment", "flip_prob")),
-        ("jitter_prob", ("train", "augment", "jitter_prob")),
-        ("jitter_strength", ("train", "augment", "jitter_strength")),
-        ("scale_prob", ("train", "augment", "scale_prob")),
-        ("scale_min", ("train", "augment", "scale_range", 0)),
-        ("scale_max", ("train", "augment", "scale_range", 1)),
-        ("blur_prob", ("train", "augment", "blur_prob")),
-        ("blur_sigma_min", ("train", "augment", "blur_sigma", 0)),
-        ("blur_sigma_max", ("train", "augment", "blur_sigma", 1)),
-    ),
-    "data": (
-        ("image_size", ("data", "image_size")),
-        ("train_count", ("data", "train_count")),
-        ("val_count", ("data", "val_count")),
-        ("test_count", ("data", "test_count")),
-        ("shape_min", ("data", "shape_count", 0)),
-        ("shape_max", ("data", "shape_count", 1)),
-        ("change_min", ("data", "change_fraction", 0)),
-        ("change_max", ("data", "change_fraction", 1)),
-        ("drift", ("data", "drift")),
-        ("noise_sigma", ("data", "noise_sigma")),
-        ("seed", ("data", "seed")),
-        ("max_retries", ("data", "max_retries")),
-    ),
-    "loss": (
-        ("gt_loss", ("train", "selection", "gt_loss")),
-        ("distill_loss", ("train", "selection", "distill_loss")),
-        ("alpha1", ("train", "weights", "alpha1")),
-        ("alpha2", ("train", "weights", "alpha2")),
-        ("alpha3", ("train", "weights", "alpha3")),
-    ),
+def _get(config, path: tuple):
+    for step in path:
+        config = config[step] if isinstance(step, int) else getattr(config, step)
+    return config
+
+
+# Each section's parts of RunConfig, in rendering order.  [model] also
+# accepts `preset`, which picks the base model config and is never rendered.
+_SECTIONS = {
+    "model": (("model",),),
+    "train": (("train",), ("train", "augment")),
+    "data": (("data",),),
+    "loss": (("train", "selection"), ("train", "weights")),
 }
+
+# Fields whose keys are not their names; a pair field is spelled as two keys.
+_SPELLING = {
+    "enabled": "augment",
+    "scale_range": ("scale_min", "scale_max"),
+    "blur_sigma": ("blur_sigma_min", "blur_sigma_max"),
+    "shape_count": ("shape_min", "shape_max"),
+    "change_fraction": ("change_min", "change_max"),
+}
+
+
+def _keys(parts: tuple[tuple, ...]):
+    """(key, path) of each field of `parts` in declaration order; nested dataclasses are parts, not keys."""
+    for part in parts:
+        config = _get(RunConfig(), part)
+        for f in fields(config):
+            if is_dataclass(getattr(config, f.name)):
+                continue
+            spelled, path = _SPELLING.get(f.name, f.name), part + (f.name,)
+            if isinstance(spelled, str):
+                yield spelled, path
+            else:
+                yield from ((key, path + (i,)) for i, key in enumerate(spelled))
+
+
+# Per section, in rendering order: each key and its path into RunConfig.  A
+# trailing index addresses one end of a pair field.  A value's type is the
+# type of its default.
+SCHEMA: dict[str, tuple[tuple[str, tuple], ...]] = {s: tuple(_keys(parts)) for s, parts in _SECTIONS.items()}
 
 
 def _to_int(section: str, key: str, raw: str) -> int:
@@ -124,12 +111,6 @@ def _to_str(section: str, key: str, raw: str) -> str:
 
 
 _CONVERTERS = {bool: _to_bool, int: _to_int, float: _to_float, tuple: _to_int_tuple, str: _to_str, type(None): _to_str}
-
-
-def _get(config, path: tuple):
-    for step in path:
-        config = config[step] if isinstance(step, int) else getattr(config, step)
-    return config
 
 
 def _collect(section: str, items: dict[str, str]) -> dict[tuple, object]:

@@ -27,10 +27,6 @@ class FormatError(ChangeDetError):
     """Malformed on-disk file (checkpoint or netpbm image)."""
 
 
-class CompatibilityError(ChangeDetError):
-    """Checkpoint does not match the model it is being loaded into."""
-
-
 class DataError(ChangeDetError):
     """Dataset index or sample files missing or inconsistent."""
 

@@ -10,8 +10,7 @@ from the config seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -205,10 +204,7 @@ def make_teacher(config: TrainConfig):
         return OracleTeacher()
     from .checkpoint import load_checkpoint
 
-    path = Path(config.teacher_checkpoint)
-    if not path.is_file():
-        raise DataError(f"teacher checkpoint not found: {path}")
-    return ModelTeacher(load_checkpoint(path))
+    return ModelTeacher(load_checkpoint(config.teacher_checkpoint))
 
 
 @dataclass(frozen=True)
@@ -224,11 +220,7 @@ class EpochLog:
     val_oa: float
 
     def line(self) -> str:
-        return (
-            f"epoch={self.epoch} lr={self.lr!r} train_loss={self.train_loss!r} "
-            f"gt={self.gt!r} boundary={self.boundary!r} distill={self.distill!r} "
-            f"val_iou={self.val_iou!r} val_f1={self.val_f1!r} val_oa={self.val_oa!r}"
-        )
+        return " ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
 
 
 @dataclass

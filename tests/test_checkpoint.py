@@ -10,7 +10,7 @@ from changedet import model as M
 from changedet.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from changedet.cli import main
 from changedet.config import parse_model_text
-from changedet.errors import CompatibilityError, FormatError
+from changedet.errors import DataError, FormatError
 
 
 @pytest.fixture
@@ -129,7 +129,7 @@ def test_tensor_name_outside_the_config_rejected(tiny_model, tmp_path):
     save_checkpoint(tiny_model, path)
     first = M.parameter_names(tiny_model.config)[0].encode("utf-8")
     path.write_bytes(_with_first_name(path.read_bytes(), first[:-1] + b"z"))
-    with pytest.raises(CompatibilityError, match="tensor names do not match the config"):
+    with pytest.raises(FormatError, match="tensor names do not match the config"):
         load_checkpoint(path)
 
 
@@ -163,6 +163,22 @@ def test_duplicate_tensor_name_rejected(tiny_model, tmp_path):
     path.write_bytes(blob[:at] + first + blob[at + len(second) :])
     with pytest.raises(FormatError, match="duplicate tensor 'stem.pre.w'"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_tensor_rejected(tiny_model, tmp_path, value):
+    name = M.parameter_names(tiny_model.config)[-1]
+    tiny_model.params[name].data[0, 0, 0, 0] = value
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(tiny_model, path)
+    with pytest.raises(FormatError, match=re.escape(f"model.ckpt: tensor {name!r} holds non-finite values")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("missing", ["absent.ckpt", "."], ids=["no-such-file", "a-directory"])
+def test_path_that_is_not_a_file_reported_as_not_found(tmp_path, missing):
+    with pytest.raises(DataError, match="checkpoint not found: "):
+        load_checkpoint(tmp_path / missing)
 
 
 def test_cli_eval_on_malformed_checkpoint_exits_2(tiny_model, tmp_path, capsys):

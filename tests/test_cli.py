@@ -523,6 +523,23 @@ def _manifest_duplicate_id(tmp_path):
     return ["eval", "--ckpt", ckpt, "--data", root]
 
 
+def _nan_bias_checkpoint(tmp_path):
+    model = ChangeDetector(preset("nano"))
+    model.params[list(model.params)[-1]].data[...] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(model, ckpt)
+    return ckpt
+
+
+def _eval_nan_checkpoint(tmp_path):
+    return ["eval", "--ckpt", _nan_bias_checkpoint(tmp_path), "--data", _one_pair_test_split(tmp_path, "data", 32)]
+
+
+def _predict_nan_checkpoint(tmp_path):
+    a, b, _ = sample_paths(_one_pair_test_split(tmp_path, "data", 32), "test", "test_00000")
+    return ["predict", "--ckpt", _nan_bias_checkpoint(tmp_path), "--pre", a, "--post", b, "--out", tmp_path / "m.pgm"]
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
@@ -535,11 +552,14 @@ def _manifest_duplicate_id(tmp_path):
         _mixed_size_test_split,
         _manifest_id_outside_root,
         _manifest_duplicate_id,
+        _eval_nan_checkpoint,
+        _predict_nan_checkpoint,
     ],
     ids=[
         "gradcheck-zero-instances", "gradcheck-negative-instances", "gradcheck-negative-seed",
         "synth-negative-seed", "non-utf8-config", "non-utf8-manifest",
         "eval-mixed-image-sizes", "manifest-id-outside-root", "manifest-duplicate-id",
+        "eval-nan-checkpoint", "predict-nan-checkpoint",
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(capsys, tmp_path, make_argv):

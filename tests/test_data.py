@@ -87,6 +87,20 @@ class TestNetpbm:
         with pytest.raises(FormatError, match=message):
             netpbm.load_pgm(p)
 
+    @pytest.mark.parametrize(
+        "save,array,message",
+        [
+            (netpbm.save_ppm, np.zeros((4, 4), np.float32), r"save_ppm needs a \(3,H,W\) image, got \(4, 4\)"),
+            (netpbm.save_ppm, np.zeros((1, 4, 4), np.float32), r"save_ppm needs a \(3,H,W\) image"),
+            (netpbm.save_pgm, np.zeros((1, 4, 4), np.float32), r"save_pgm needs an \(H,W\) map, got \(1, 4, 4\)"),
+        ],
+        ids=["ppm-2d", "ppm-1-channel", "pgm-3d"],
+    )
+    def test_writer_rejects_wrong_rank(self, tmp_path, save, array, message):
+        with pytest.raises(FormatError, match=message):
+            save(array, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_comments_in_header_ok(self, tmp_path):
         p = tmp_path / "img.pgm"
         p.write_bytes(b"P5\n# a comment\n2 1\n# more\n255\n\x07\xff")
@@ -102,6 +116,18 @@ class TestSynthConfig:
             D.SynthConfig(image_size=33)
         with pytest.raises(ConfigError):
             D.SynthConfig(shape_count=(0, 3))
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("val_count", -1, "split counts must be non-negative"),
+            ("drift", -0.1, "drift and noise_sigma must be non-negative"),
+            ("noise_sigma", -0.1, "drift and noise_sigma must be non-negative"),
+        ],
+    )
+    def test_negative_field_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            D.SynthConfig(**{field: value})
 
 
 class TestRenderSample:

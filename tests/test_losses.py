@@ -76,6 +76,22 @@ def test_nonbinary_gt_error_lists_distinct_values(loss, channels):
         loss(x, gt)
 
 
+@pytest.mark.parametrize(
+    "loss,channels,gt_hw,message",
+    [
+        (L.ce_loss, 3, (2, 3), "ce_loss expects 2-class logits, got C=3"),
+        (L.bce_loss, 2, (2, 3), "bce_loss expects a single-channel map, got C=2"),
+        (L.soft_miou_loss, 3, (2, 3), "soft_miou_loss expects 2-class probabilities, got C=3"),
+        (L.ce_loss, 2, (3, 2), r"ground truth must be \(1,1,2,3\), got \(1, 1, 3, 2\)"),
+    ],
+    ids=["ce-channels", "bce-channels", "soft_miou-channels", "gt-shape"],
+)
+def test_wrong_shape_rejected(loss, channels, gt_hw, message):
+    x = T.Tensor(np.full((1, channels, 2, 3), 0.5))
+    with pytest.raises(ShapeError, match=message):
+        loss(x, np.zeros((1, 1) + gt_hw))
+
+
 class TestBceLoss:
     def test_half_gives_ln2(self):
         p = T.Tensor(np.full((1, 1, 3, 3), 0.5, np.float64))

@@ -53,6 +53,19 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             M.ModelConfig(fusion_mode="bilinear")
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("encoder_widths", (0, 16, 32, 64), "encoder widths must be >= 1"),
+            ("encoder_depths", (1, -1, 1, 1), "encoder depths must be >= 0"),
+            ("stem_channels", 0, "stem_channels must be >= 1, got 0"),
+            ("head_hidden", 0, "head_hidden must be >= 1, got 0"),
+        ],
+    )
+    def test_field_below_its_floor_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            M.ModelConfig(**{field: value})
+
     def test_text_round_trip(self):
         cfg = M.preset("tiny", fusion_mode="naive", input_size=(96, 64))
         assert parse_model_text(model_text(cfg)) == cfg
@@ -97,6 +110,12 @@ class TestStem:
                 Tensor(np.zeros((1, 3, 64, 64), np.float32)),
                 Tensor(np.zeros((1, 3, 32, 32), np.float32)),
             )
+
+    def test_non_rgb_pair_rejected(self):
+        cfg = M.preset("tiny")
+        gray = Tensor(np.zeros((1, 1, 64, 64), np.float32))
+        with pytest.raises(ShapeError, match="stem: expected 3-channel images, got C=1"):
+            M.stem_forward(M.init_params(cfg, seed=5), cfg, gray, gray)
 
 
 class TestEncoder:

@@ -168,6 +168,14 @@ class TestAdamW:
             assert np.array_equal(a, b)
         assert state.step == 1
 
+    def test_gradient_shape_mismatch_rejected(self):
+        params = one_param(1.0)
+        state = optim.init_state(params)
+        params["w"].grad = np.ones((1, 2, 1, 1), np.float32)
+        with pytest.raises(ShapeError, match=r"gradient for 'w' has shape \(1, 2, 1, 1\), want \(1, 1, 1, 1\)"):
+            optim.adamw_step(params, state, lr=0.1)
+        assert state.step == 0
+
     def test_resumed_state_continues_bit_identically(self):
         # data, m, v and step are the whole state: copied into a fresh
         # init_state they continue the run exactly.

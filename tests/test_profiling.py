@@ -41,6 +41,10 @@ class TestParamCounts:
         assert (a.stem, a.encoder, a.head) == (b.stem, b.encoder, b.head)
         assert b.total - a.total == 34704
 
+    def test_parameter_outside_every_submodule_rejected(self):
+        with pytest.raises(ConfigError, match="parameter 'decoder.w' belongs to no known submodule"):
+            param_counts({"decoder.w": Tensor(np.zeros((1, 1, 1, 1), np.float32))})
+
 
 class TestCountFlops:
     def test_idle_counter_reads_zero(self):

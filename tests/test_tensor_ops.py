@@ -672,3 +672,36 @@ class TestTapeMechanics:
         b = T.Tensor(np.zeros((1, 1, 1, 1), np.float64))
         with pytest.raises(ShapeError):
             T.add(a, b)
+
+
+def _nested_flop_counters():
+    with T.FlopCounter(), T.FlopCounter():
+        pass
+
+
+def _zeros(*shape):
+    return T.Tensor(np.zeros(shape, np.float32))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (_nested_flop_counters, GraphError, "a FlopCounter is already active on this thread"),
+        (lambda: _zeros(1, 1, 1, 2).item(), ShapeError, r"item\(\) needs a single element, got shape \(1, 1, 1, 2\)"),
+        (lambda: T.conv2d(_zeros(1, 2, 4, 4), _zeros(3, 2, 3, 2)), ShapeError, "conv2d: kernel must be square, got 3x2"),
+        (lambda: T.conv2d(_zeros(1, 2, 4, 4), _zeros(3, 2, 3, 3), stride=0), ConfigError, r"conv2d: bad stride/padding \(0, 0\)"),
+        (lambda: T.conv2d(_zeros(1, 2, 4, 4), _zeros(3, 2, 3, 3), padding=-1), ConfigError, r"conv2d: bad stride/padding \(1, -1\)"),
+        (lambda: T.bilinear_resize(_zeros(1, 1, 4, 4), 0, 4), ConfigError, r"bilinear_resize: bad target size \(0, 4\)"),
+        (lambda: T.concat_channel([]), ShapeError, "concat_channel: empty operand list"),
+        (lambda: T.concat_channel([_zeros(1, 1, 4, 4), _zeros(1, 1, 4, 5)]), ShapeError, "concat_channel: N/H/W mismatch"),
+        (lambda: T.softmax_channel(_zeros(1, 1, 2, 2)), ShapeError, "softmax_channel: needs C >= 2, got C=1"),
+    ],
+    ids=[
+        "nested-flop-counter", "item-of-many", "conv-non-square-kernel", "conv-zero-stride",
+        "conv-negative-padding", "resize-empty-target", "concat-nothing", "concat-hw-mismatch",
+        "softmax-one-channel",
+    ],
+)
+def test_bad_call_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

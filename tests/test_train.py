@@ -181,6 +181,18 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(teacher_checkpoint="x.ckpt")  # path without the mode
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("adam_eps", 0.0, "adam_eps must be > 0, got 0.0"),
+            ("weight_decay", -0.01, "weight_decay must be >= 0, got -0.01"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_field_out_of_range_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**{field: value})
+
     def test_make_teacher_modes(self, tmp_path):
         assert make_teacher(TrainConfig(teacher_mode="none")) is None
         assert isinstance(make_teacher(TrainConfig(teacher_mode="oracle")), OracleTeacher)
