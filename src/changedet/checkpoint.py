@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import model_text, parse_model_text
-from .errors import ConfigError, DataError, FormatError
-from .fileio import write_atomic
+from .errors import ConfigError, FormatError
+from .fileio import read_input, write_atomic
 from .model import ChangeDetector, parameter_names
 from .tensor import REAL32, Tensor
 
@@ -54,14 +54,15 @@ def save_checkpoint(model: ChangeDetector, path) -> None:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
+    def __init__(self, path: Path):
+        self.name = path.name
+        self.buf = read_input(path, "checkpoint")
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
             raise FormatError(
-                f"checkpoint truncated: wanted {n} bytes at offset {self.pos}, "
+                f"{self.name}: checkpoint truncated: wanted {n} bytes at offset {self.pos}, "
                 f"file has {len(self.buf)}"
             )
         out = self.buf[self.pos : self.pos + n]
@@ -78,9 +79,7 @@ class _Reader:
 def load_checkpoint(path) -> ChangeDetector:
     """Rebuild a model from a checkpoint file."""
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"checkpoint not found: {path}")
-    r = _Reader(path.read_bytes())
+    r = _Reader(path)
     if r.take(4) != MAGIC:
         raise FormatError(f"{path.name}: bad magic, not a checkpoint file")
     version = r.u32()

@@ -20,7 +20,7 @@ from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, effective_text, load_run_config
 from .data import SPLITS, generate_synthetic_dataset, load_index, load_sample
-from .errors import ChangeDetError, ConfigError, DataError, ShapeError
+from .errors import ChangeDetError, ConfigError, DataError
 from .gradcheck import DEFAULT_INSTANCES, check_all, check_op
 from .losses import LossSelection, LossWeights
 from .metrics import evaluate
@@ -53,15 +53,8 @@ def _echo(out: _Output, command: str, args_pairs: list[tuple[str, object]], run_
     out.line("# end config")
 
 
-def _require_file(path, what: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise DataError(f"{what} not found: {p}")
-    return p
-
-
 def _load_config_arg(path) -> RunConfig:
-    return load_run_config(_require_file(path, "config file")) if path else RunConfig()
+    return load_run_config(path) if path else RunConfig()
 
 
 def cmd_synth(args, out: _Output) -> int:
@@ -155,10 +148,8 @@ def cmd_predict(args, out: _Output) -> int:
         [("ckpt", args.ckpt), ("pre", args.pre), ("post", args.post), ("out", args.out)],
         rc, ("model",),
     )
-    pre = load_ppm(_require_file(args.pre, "pre image"))
-    post = load_ppm(_require_file(args.post, "post image"))
-    if pre.shape != post.shape:
-        raise ShapeError(f"pre and post image sizes differ: {pre.shape[1:]} vs {post.shape[1:]}")
+    pre = load_ppm(args.pre)
+    post = load_ppm(args.post)
     outputs = model.forward(pre[None], post[None])
     mask = predict_mask(outputs.probs)[0]
     save_pgm(mask.astype(np.float32), args.out)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .data import SynthConfig
 from .errors import ConfigError
+from .fileio import read_input
 from .model import ModelConfig, preset
 from .train import TrainConfig
 
@@ -163,9 +164,8 @@ def parse_run_config(text: str) -> RunConfig:
 
 def load_run_config(path) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_run_config(fh.read())
-    except (OSError, UnicodeDecodeError) as exc:
+        return parse_run_config(read_input(path, "config file").decode("utf-8"))
+    except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
 
 

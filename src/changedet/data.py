@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, GenerationError
-from .fileio import write_atomic
+from .fileio import read_input, write_atomic
 from .netpbm import load_pgm, load_ppm, save_pgm, save_ppm
 from .tensor import resize_bilinear_array
 
@@ -208,10 +208,8 @@ def generate_synthetic_dataset(cfg: SynthConfig, out_root) -> dict[str, DatasetI
 def load_index(root, split: str) -> DatasetIndex:
     root = Path(root)
     manifest = root / split / "manifest.txt"
-    if not manifest.is_file():
-        raise DataError(f"no manifest for split {split!r} under {root}")
     try:
-        text = manifest.read_text(encoding="utf-8")
+        text = read_input(manifest, "manifest").decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"manifest {manifest} is not valid UTF-8: {exc}")
     first_line: dict[str, int] = {}  # id -> manifest line, in manifest order
@@ -230,9 +228,6 @@ def load_index(root, split: str) -> DatasetIndex:
 
 def load_sample(index: DatasetIndex, sample_id: str) -> BitemporalSample:
     a, b, label = sample_paths(index.root, index.split, sample_id)
-    for path in (a, b, label):
-        if not path.is_file():
-            raise DataError(f"sample {sample_id!r}: missing file {path}")
     pre = load_ppm(a)
     post = load_ppm(b)
     mask_map = load_pgm(label)

@@ -28,7 +28,7 @@ class FormatError(ChangeDetError):
 
 
 class DataError(ChangeDetError):
-    """Dataset index or sample files missing or inconsistent."""
+    """An input file missing (checkpoint, image, config file, manifest), or dataset files inconsistent."""
 
 
 class GenerationError(ChangeDetError):

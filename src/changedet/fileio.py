@@ -1,13 +1,24 @@
-"""Whole-file writes that never leave a half-written target.
+"""Whole-file reads, and writes that never leave a half-written target.
 
-Checkpoints, netpbm images and dataset manifests are written through
-write_atomic; only the streamed ``--log`` file is not.
+Every input file is read through read_input, which reports a missing one;
+every output but the streamed ``--log`` file is written through write_atomic.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+
+from .errors import DataError
+
+
+def read_input(path, what: str) -> bytes:
+    """The bytes of the file at path; a path that names no file, or names a
+    directory, raises ``DataError("<what> not found: <path>")``."""
+    try:
+        return Path(path).read_bytes()
+    except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
+        raise DataError(f"{what} not found: {path}") from None
 
 
 def write_atomic(path, payload: bytes) -> None:

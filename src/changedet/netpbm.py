@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .fileio import write_atomic
+from .fileio import read_input, write_atomic
 
 
 def _quantize(values: np.ndarray) -> np.ndarray:
@@ -75,7 +75,7 @@ def save_ppm(image: np.ndarray, path) -> None:
 def load_ppm(path) -> np.ndarray:
     """Read a binary P6 file into a (3,H,W) float32 image in [0,1]."""
     path = Path(path)
-    buf = path.read_bytes()
+    buf = read_input(path, "image")
     w, h, offset = _read_header(buf, b"P6", path)
     flat = _payload(buf, offset, 3 * h * w, path)
     return (flat.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float32)) / np.float32(255.0)
@@ -93,7 +93,7 @@ def save_pgm(mask: np.ndarray, path) -> None:
 def load_pgm(path) -> np.ndarray:
     """Read a binary P5 file into an (H,W) float32 map in [0,1]."""
     path = Path(path)
-    buf = path.read_bytes()
+    buf = read_input(path, "image")
     w, h, offset = _read_header(buf, b"P5", path)
     flat = _payload(buf, offset, h * w, path)
     return flat.reshape(h, w).astype(np.float32) / np.float32(255.0)

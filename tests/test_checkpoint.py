@@ -47,7 +47,7 @@ def test_truncated_file_rejected(tiny_model, tmp_path):
     for cut in (2, 7, 30, len(blob) // 2, len(blob) - 3):
         short = tmp_path / f"cut_{cut}.ckpt"
         short.write_bytes(blob[:cut])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=rf"^cut_{cut}\.ckpt: "):
             load_checkpoint(short)
 
 

@@ -540,6 +540,25 @@ def _predict_nan_checkpoint(tmp_path):
     return ["predict", "--ckpt", _nan_bias_checkpoint(tmp_path), "--pre", a, "--post", b, "--out", tmp_path / "m.pgm"]
 
 
+def _nano_checkpoint(tmp_path):
+    ckpt = tmp_path / "nano.ckpt"
+    save_checkpoint(ChangeDetector(preset("nano")), ckpt)
+    return ckpt
+
+
+def _predict_argv(tmp_path, pre=None, post=None):
+    """predict with a nano checkpoint on one real pair, with pre or post replaced."""
+    a, b, _ = sample_paths(_one_pair_test_split(tmp_path, "data", 32), "test", "test_00000")
+    ckpt = _nano_checkpoint(tmp_path)
+    return ["predict", "--ckpt", ckpt, "--pre", pre or a, "--post", post or b, "--out", tmp_path / "m.pgm"]
+
+
+def _eval_truncated_checkpoint(tmp_path):
+    ckpt = tmp_path / "cut.ckpt"
+    ckpt.write_bytes(b"EOC")
+    return ["eval", "--ckpt", ckpt, "--data", tmp_path]
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
@@ -554,12 +573,20 @@ def _predict_nan_checkpoint(tmp_path):
         _manifest_duplicate_id,
         _eval_nan_checkpoint,
         _predict_nan_checkpoint,
+        lambda tmp_path: _predict_argv(tmp_path, pre=tmp_path / "no.ppm"),
+        lambda tmp_path: _predict_argv(tmp_path, post=tmp_path),
+        lambda tmp_path: ["train", "--config", tmp_path / "no.cfg", "--data", tmp_path, "--out", tmp_path / "m.ckpt"],
+        lambda tmp_path: ["bench", "--config", tmp_path, "--size", 32, "--runs", 1, "--warmup", 0],
+        lambda tmp_path: ["eval", "--ckpt", _nano_checkpoint(tmp_path), "--data", tmp_path],
+        _eval_truncated_checkpoint,
     ],
     ids=[
         "gradcheck-zero-instances", "gradcheck-negative-instances", "gradcheck-negative-seed",
         "synth-negative-seed", "non-utf8-config", "non-utf8-manifest",
         "eval-mixed-image-sizes", "manifest-id-outside-root", "manifest-duplicate-id",
         "eval-nan-checkpoint", "predict-nan-checkpoint",
+        "predict-missing-pre", "predict-directory-post", "train-missing-config",
+        "bench-config-directory", "eval-no-manifest", "eval-truncated-checkpoint",
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(capsys, tmp_path, make_argv):

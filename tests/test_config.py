@@ -8,7 +8,7 @@ import pytest
 
 from changedet.config import SCHEMA, RunConfig, effective_text, load_run_config, parse_run_config
 from changedet.data import SynthConfig
-from changedet.errors import ConfigError
+from changedet.errors import ConfigError, DataError
 from changedet.losses import LossSelection, LossWeights
 from changedet.model import preset
 from changedet.train import AugmentConfig, TrainConfig
@@ -328,7 +328,7 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_load_run_config_missing_file(tmp_path):
-    with pytest.raises(ConfigError, match="cannot read config file"):
+    with pytest.raises(DataError, match="config file not found: "):
         load_run_config(tmp_path / "absent.cfg")
 
 
@@ -336,3 +336,11 @@ def test_load_run_config_reads_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[data]\nimage_size = 96\n", encoding="utf-8")
     assert load_run_config(path).data.image_size == 96
+
+
+def test_crlf_config_file_loads_equal_to_its_lf_text(tmp_path):
+    rc = RunConfig(model=preset("nano"), train=TrainConfig(epochs=3, seed=5), data=SynthConfig(image_size=96))
+    path = tmp_path / "run.cfg"
+    text = effective_text(rc)
+    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    assert load_run_config(path) == parse_run_config(text) == rc

@@ -1,6 +1,8 @@
-"""Every file writer replaces its target whole or not at all."""
+"""One reader reports every missing input file; every file writer replaces
+its target whole or not at all."""
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,8 @@ import pytest
 from changedet import netpbm
 from changedet.checkpoint import save_checkpoint
 from changedet.data import SynthConfig, generate_synthetic_dataset
+from changedet.errors import DataError
+from changedet.fileio import read_input
 from changedet.model import ChangeDetector, preset
 
 WRITERS = {
@@ -47,3 +51,15 @@ def test_missing_directory_error_names_the_target_not_the_temp_file(kind, tmp_pa
         WRITERS[kind](tmp_path, target)
     assert info.value.filename == str(target)
     assert "m.pgm" in str(info.value) and ".tmp" not in str(info.value)
+
+
+@pytest.mark.parametrize("name", ["absent.bin", "."], ids=["no-such-file", "a-directory"])
+def test_read_input_reports_a_missing_file_or_a_directory_as_not_found(tmp_path, name):
+    with pytest.raises(DataError, match=f"^thing not found: {re.escape(str(tmp_path / name))}$"):
+        read_input(tmp_path / name, "thing")
+
+
+@pytest.mark.parametrize("load", [netpbm.load_ppm, netpbm.load_pgm], ids=["ppm", "pgm"])
+def test_netpbm_loader_reports_a_missing_file_as_not_found(tmp_path, load):
+    with pytest.raises(DataError, match=f"^image not found: {re.escape(str(tmp_path / 'absent'))}$"):
+        load(tmp_path / "absent")

@@ -1,6 +1,7 @@
 """Every module under src/changedet/ uses each name it imports at top level,
-every private top-level helper is referenced somewhere in the package, and
-every op the package emits has a finite-difference gradient check."""
+every private top-level helper is referenced somewhere in the package,
+every op the package emits has a finite-difference gradient check, and only
+fileio reads or probes an input file."""
 
 import ast
 from pathlib import Path
@@ -87,3 +88,34 @@ def test_every_emitted_op_has_a_gradient_check():
     names = {name for tree in TREES.values() for name in emitted_op_names(tree)}
     assert {"conv2d", "ce_loss"} <= names  # both emitters are seen
     assert sorted(names - set(REGISTRY)) == []
+
+
+def file_reads(tree: ast.Module) -> list[str]:
+    """Calls to ``read_bytes``, ``read_text`` or ``is_file``, and calls to the
+    builtin ``open`` whose mode is not a literal without "r" or "+"."""
+    found = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        if isinstance(call.func, ast.Attribute) and call.func.attr in ("read_bytes", "read_text", "is_file"):
+            found.append(f"{call.func.attr} at line {call.lineno}")
+        elif isinstance(call.func, ast.Name) and call.func.id == "open":
+            modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+            mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
+            if not isinstance(mode, str) or set(mode) & set("r+"):
+                found.append(f"open at line {call.lineno}")
+    return found
+
+
+def test_file_reads_finds_each_kind_of_read():
+    tree = ast.parse(
+        "p.read_bytes()\np.read_text()\np.is_file()\n"
+        "open(p)\nopen(p, 'rb')\nopen(p, mode=m)\nopen(p, 'a+')\nopen(p, 'w')\nopen(p, mode='x')\n"
+    )
+    names = ["read_bytes", "read_text", "is_file", "open", "open", "open", "open"]
+    assert file_reads(tree) == [f"{name} at line {line}" for line, name in enumerate(names, 1)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_fileio_reads_input_files(path):
+    assert path.name == "fileio.py" or file_reads(TREES[path]) == []
