@@ -86,6 +86,5 @@ def evaluate(model: ChangeDetector, index: DatasetIndex, batch_size: int = 8) ->
         raise DataError(f"split {index.split!r} has no samples")
     total = ConfusionCounts()
     for pre, post, mask, _ids in batch_iter(index, batch_size):
-        outputs = model.forward(pre, post)
-        total = total + confusion_from_masks(predict_mask(outputs.probs), mask)
+        total = total + confusion_from_masks(predict_mask(model.predict_probs(pre, post)), mask)
     return metrics_from_confusion(total)

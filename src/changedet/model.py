@@ -15,6 +15,8 @@ parameters.  The naive baseline mode concatenates everything and pays for a
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -189,6 +191,15 @@ class ModelOutputs:
     fused: Tensor  # (N,C1+C4,H/4,W/4)
 
 
+# predict_probs splits a batch only when each part holds at least this many
+# input pixels (two 128x128 images).  Below it the threads mostly queue for
+# the interpreter lock, which numpy keeps through ops on small arrays.  On a
+# 2-vCPU host with one OpenBLAS thread, tiny took 5.5 ms split against
+# 3.8 ms whole at batch 2, 64x64, and 33 against 57 ms at batch 8, 128x128;
+# nano, the narrowest preset, splits about even at this size.
+SPLIT_MIN_PIXELS = 2**15
+
+
 # Read three times per forward (stem, encoder, head); callers never mutate it.
 @functools.lru_cache(maxsize=16)
 def _spec_map(config: ModelConfig) -> dict[str, ConvSpec]:
@@ -353,6 +364,53 @@ class ChangeDetector:
         with T.stage("head"):
             logits, probs, boundary = head_forward(self.params, self.config, fused, fused_mean, (h, w))
         return ModelOutputs(logits=logits, probs=probs, boundary=boundary, fused=fused)
+
+    def predict_probs(self, pre, post) -> np.ndarray:
+        """The (N, 2, H, W) probabilities of a forward pass, on up to two threads.
+
+        Every forward op works per image, so splitting a batch is exact.  On
+        a process that may use two or more CPUs, a batch whose first N // 2
+        images hold at least ``SPLIT_MIN_PIXELS`` pixels splits there: one
+        worker thread runs those images while the calling thread runs the
+        rest, and both write into one output array.  The batch runs whole on
+        the calling thread otherwise, and while a Tape or FlopCounter
+        observes this thread (see ``tensor.recording``): both are per thread
+        and would miss the worker's part.
+        """
+        pre = self._as_input(pre)
+        post = self._as_input(post)
+        n, _, h, w = pre.shape
+        # A mismatched pair goes whole to forward, whose error names the full shapes.
+        if (n // 2) * h * w < SPLIT_MIN_PIXELS or pre.shape != post.shape or usable_cpus() < 2 or T.recording():
+            return self.forward(pre, post).probs.data
+        out = np.empty((n, 2, *pre.shape[2:]), dtype=pre.dtype)
+        failed: list[BaseException] = []
+
+        def run(part: slice):
+            out[part] = self.forward(pre.data[part], post.data[part]).probs.data
+
+        def run_first_part():
+            try:
+                run(slice(0, n // 2))
+            except BaseException as exc:  # re-raised on the calling thread below
+                failed.append(exc)
+
+        worker = threading.Thread(target=run_first_part, name="changedet-forward")
+        worker.start()
+        try:
+            run(slice(n // 2, n))
+        finally:
+            worker.join()
+        if failed:
+            raise failed[0]
+        return out
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def predict_mask(probs) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .model import ChangeDetector, ModelConfig
+from .model import ChangeDetector, ModelConfig, usable_cpus
 from .tensor import REAL32, FlopCounter, Tensor
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -77,7 +77,11 @@ def count_flops(config: ModelConfig, input_size: tuple[int, int] | None = None) 
 
 
 def environment_info() -> dict[str, str]:
-    """The machine, numpy and its BLAS build, and the BLAS thread settings that timings depend on."""
+    """The machine, numpy and its BLAS build, and the CPU and thread settings that timings depend on.
+
+    ``cpu_affinity`` is the number of CPUs this process may run on, which
+    decides whether ``ChangeDetector.predict_probs`` splits a batch.
+    """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name', '?')} {blas.get('version', '?')}"
@@ -86,6 +90,8 @@ def environment_info() -> dict[str, str]:
     return {
         "platform": platform.platform(),
         "machine": platform.machine(),
+        "cpu_count": str(os.cpu_count()),
+        "cpu_affinity": str(usable_cpus()),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas,

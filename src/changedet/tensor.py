@@ -14,7 +14,13 @@ receives no gradient: ``_accum`` drops whatever reaches it, and conv2d,
 whose input images are such leaves, skips computing their dX.
 
 Tensors are immutable by convention: ops return new tensors and never write
-into their inputs.  A tape and its backward pass belong to a single thread.
+into their inputs.  The tape, the :func:`stage` label and the
+:class:`FlopCounter` are per thread: each sees only the ops its own thread
+runs, and a tape and its backward pass belong to a single thread.  Forward
+passes with no tape may run on several threads at once, since ops share no
+mutable state.  ``ChangeDetector.predict_probs`` splits a batch across two
+threads that way, and keeps it on the calling thread while
+:func:`recording` says that thread's ops are observed.
 
 conv2d has one lowering for every geometry: per-image columns laid out
 (N, groups, C_g*k*k, Ho*Wo) and one batched GEMM against the
@@ -47,6 +53,11 @@ _tls = threading.local()
 def active_tape():
     """The tape recording on this thread, or None."""
     return getattr(_tls, "tape", None)
+
+
+def recording() -> bool:
+    """True while a Tape or a FlopCounter observes the ops of this thread."""
+    return active_tape() is not None or getattr(_tls, "flops", None) is not None
 
 
 @contextmanager

@@ -193,7 +193,7 @@ class ModelTeacher:
             p.requires_grad = False
 
     def predict(self, pre, post, gt) -> np.ndarray:
-        return self.model.forward(pre, post).probs.data
+        return self.model.predict_probs(pre, post)
 
 
 def make_teacher(config: TrainConfig):

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from changedet.data import DatasetIndex, SynthConfig, generate_synthetic_dataset, load_index
-from changedet.errors import DataError, ShapeError
+from changedet import metrics
+from changedet.data import DatasetIndex, SynthConfig, batch_iter, generate_synthetic_dataset, load_index
+from changedet.errors import DataError, NumericError, ShapeError
 from changedet.metrics import (
     ConfusionCounts,
     confusion_from_masks,
     evaluate,
     metrics_from_confusion,
 )
-from changedet.model import ChangeDetector, preset
+from changedet.model import ChangeDetector, preset, predict_mask
 
 
 class TestConfusionFromMasks:
@@ -138,3 +139,30 @@ class TestEvaluate:
         model = ChangeDetector(preset("nano", input_size=(32, 32)), seed=1)
         with pytest.raises(DataError):
             evaluate(model, index)
+
+    def test_split_counts_equal_a_serial_loop_over_images(self, tiny_dataset, monkeypatch):
+        monkeypatch.setattr("changedet.model.SPLIT_MIN_PIXELS", 1)
+        model = ChangeDetector(preset("nano", input_size=(32, 32)), seed=2)
+        index = load_index(tiny_dataset, "test")
+        serial = ConfusionCounts()
+        for pre, post, mask, _ids in batch_iter(index, 1):
+            serial = serial + confusion_from_masks(predict_mask(model.forward(pre, post).probs), mask)
+        assert evaluate(model, index, batch_size=5).counts == serial
+
+    def test_split_nan_in_the_worker_half_names_its_stage(self, tiny_dataset, monkeypatch):
+        # predict_probs hands the first N // 2 images to its worker thread.
+        monkeypatch.setattr("changedet.model.SPLIT_MIN_PIXELS", 1)
+        model = ChangeDetector(preset("nano", input_size=(32, 32)), seed=3)
+        index = load_index(tiny_dataset, "test")
+        before = evaluate(model, index, batch_size=4)
+
+        def planted(index, batch_size):
+            for pre, post, mask, ids in batch_iter(index, batch_size):
+                pre[0, 1, 5, 7] = np.nan
+                yield pre, post, mask, ids
+
+        with monkeypatch.context() as m:
+            m.setattr(metrics, "batch_iter", planted)
+            with pytest.raises(NumericError, match="^conv2d produced non-finite values in stage stem$"):
+                evaluate(model, index, batch_size=4)
+        assert evaluate(model, index, batch_size=4) == before

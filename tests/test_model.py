@@ -2,6 +2,7 @@
 
 import gc
 import re
+import threading
 import weakref
 
 import numpy as np
@@ -395,3 +396,91 @@ class TestGraphOwnership:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+@pytest.fixture
+def split_any_batch(monkeypatch):
+    """predict_probs splits every batch of two or more, however small its images."""
+    monkeypatch.setattr(M, "SPLIT_MIN_PIXELS", 1)
+
+
+def record_forward_calls(net, monkeypatch) -> list[tuple[int, bool, int]]:
+    """Per forward call: batch size, whether it ran on the main thread, live thread count."""
+    calls = []
+    forward = net.forward
+
+    def spy(pre, post):
+        calls.append((pre.shape[0], threading.current_thread() is threading.main_thread(), threading.active_count()))
+        return forward(pre, post)
+
+    monkeypatch.setattr(net, "forward", spy)
+    return calls
+
+
+class TestSplitForward:
+    """predict_probs splits a forward-only batch across two threads, exactly.
+
+    The tests named ``split`` also run in CI with the process pinned to one
+    CPU, where every batch runs whole on the calling thread.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fusion_mode", ["emff", "naive"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_split_probs_equal_one_forward(self, n, fusion_mode, dtype, split_any_batch):
+        net = M.ChangeDetector(M.preset("tiny", fusion_mode=fusion_mode), seed=40, dtype=dtype)
+        pre, post = (a.astype(dtype) for a in rand_pair(n=n, seed=41))
+        probs = net.predict_probs(pre, post)
+        whole = net.forward(pre, post).probs.data
+        assert probs.dtype == whole.dtype
+        assert np.array_equal(probs, whole)
+
+    @pytest.mark.parametrize("observer", ["tape", "flops"])
+    def test_split_runs_inline_while_ops_are_observed(self, observer, split_any_batch, monkeypatch):
+        monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        net = M.ChangeDetector(M.preset("nano"), seed=42)
+        pre, post = rand_pair(n=4, hw=32, seed=43)
+        context = T.Tape if observer == "tape" else T.FlopCounter
+        with context() as whole:
+            net.forward(pre, post)
+        with context() as split:
+            probs = net.predict_probs(pre, post)
+        if observer == "tape":
+            # one record per op whatever the batch, so compare the output shapes too
+            assert len(split) == len(whole)
+            assert [out.shape for out, _ in split._records] == [out.shape for out, _ in whole._records]
+        else:
+            assert split.by_op == whole.by_op  # conv2d included
+            assert split.by_stage == whole.by_stage
+        assert np.array_equal(probs, net.forward(pre, post).probs.data)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_split_follows_the_cpu_affinity(self, cpus, split_any_batch, monkeypatch):
+        # One CPU: one forward of the whole batch on this thread, no thread
+        # started.  Two: N // 2 images on a worker thread, the rest here.
+        monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        net = M.ChangeDetector(M.preset("nano"), seed=44)
+        pre, post = rand_pair(n=5, hw=32, seed=45)
+        whole = net.forward(pre, post).probs.data
+        calls = record_forward_calls(net, monkeypatch)
+        before = threading.active_count()
+        probs = net.predict_probs(pre, post)
+        assert np.array_equal(probs, whole)
+        assert threading.active_count() == before
+        if cpus == 1:
+            assert calls == [(5, True, before)]
+        else:
+            assert sorted(calls) == [(2, False, before + 1), (3, True, before + 1)]
+
+    @pytest.mark.parametrize(
+        "n, hw, sizes",
+        [(3, 128, [3]), (2, 160, [2]), (4, 128, [2, 2]), (2, 192, [1, 1])],
+        ids=["1x128²", "1x160²", "2x128²", "1x192²"],
+    )
+    def test_split_needs_enough_pixels_in_each_part(self, n, hw, sizes, monkeypatch):
+        monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        net = M.ChangeDetector(M.preset("nano"), seed=46)
+        pre, post = rand_pair(n=n, hw=hw, seed=47)
+        calls = record_forward_calls(net, monkeypatch)
+        net.predict_probs(pre, post)
+        assert sorted(size for size, _, _ in calls) == sizes

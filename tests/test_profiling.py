@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -127,8 +129,10 @@ class TestMeasureLatency:
 
     def test_environment_is_recorded(self):
         env = environment_info()
-        assert set(env) >= {"platform", "python", "numpy"}
+        assert set(env) >= {"platform", "python", "numpy", "cpu_count", "cpu_affinity"}
         assert env["numpy"] == np.__version__
+        assert env["cpu_count"] == str(os.cpu_count())
+        assert env["cpu_affinity"] == str(len(os.sched_getaffinity(0)))
 
     def test_invalid_run_counts_rejected(self):
         model = ChangeDetector(preset("nano", input_size=(32, 32)))
