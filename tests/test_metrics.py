@@ -150,7 +150,7 @@ class TestEvaluate:
         assert evaluate(model, index, batch_size=5).counts == serial
 
     def test_split_nan_in_the_worker_half_names_its_stage(self, tiny_dataset, monkeypatch):
-        # predict_probs hands the first N // 2 images to its worker thread.
+        # predict_probs hands the first N // 2 images to one of its two worker threads.
         monkeypatch.setattr("changedet.model.SPLIT_MIN_PIXELS", 1)
         model = ChangeDetector(preset("nano", input_size=(32, 32)), seed=3)
         index = load_index(tiny_dataset, "test")

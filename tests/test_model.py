@@ -1,8 +1,12 @@
 """Network shapes, fusion contracts, parameter bookkeeping."""
 
 import gc
+import os
 import re
+import signal
+import sys
 import threading
+import traceback
 import weakref
 
 import numpy as np
@@ -404,21 +408,54 @@ def split_any_batch(monkeypatch):
     monkeypatch.setattr(M, "SPLIT_MIN_PIXELS", 1)
 
 
-def record_forward_calls(net, monkeypatch) -> list[tuple[int, bool, int]]:
-    """Per forward call: batch size, whether it ran on the main thread, live thread count."""
+def record_forward_calls(net, monkeypatch) -> list[tuple[int, str, int]]:
+    """Per forward call: batch size, and the name and ident of the thread that ran it."""
     calls = []
     forward = net.forward
 
     def spy(pre, post):
-        calls.append((pre.shape[0], threading.current_thread() is threading.main_thread(), threading.active_count()))
+        calls.append((pre.shape[0], threading.current_thread().name, threading.get_ident()))
         return forward(pre, post)
 
     monkeypatch.setattr(net, "forward", spy)
     return calls
 
 
+def forward_workers() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == "changedet-forward"]
+
+
+def in_forked_child(job) -> bytes:
+    """The bytes job() returns in an os.fork() child of this process.
+
+    The child exits through os._exit whatever happens, so it never returns
+    into the test runner, and SIGALRM's default action ends it if it hangs,
+    for example on a job that no worker thread will ever take.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            signal.alarm(60)
+            with os.fdopen(write, "wb") as f:
+                f.write(job())
+            status = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(status)
+    os.close(write)
+    with os.fdopen(read, "rb") as f:
+        result = f.read()
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return result
+
+
 class TestSplitForward:
-    """predict_probs splits a forward-only batch across two threads, exactly.
+    """predict_probs splits a forward-only batch across two worker threads, exactly.
 
     The tests named ``split`` also run in CI with the process pinned to one
     CPU, where every batch runs whole on the calling thread.
@@ -457,20 +494,21 @@ class TestSplitForward:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_split_follows_the_cpu_affinity(self, cpus, split_any_batch, monkeypatch):
         # One CPU: one forward of the whole batch on this thread, no thread
-        # started.  Two: N // 2 images on a worker thread, the rest here.
+        # started.  Two: N // 2 images on one worker thread, the rest on the other.
         monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         net = M.ChangeDetector(M.preset("nano"), seed=44)
         pre, post = rand_pair(n=5, hw=32, seed=45)
         whole = net.forward(pre, post).probs.data
         calls = record_forward_calls(net, monkeypatch)
-        before = threading.active_count()
+        before = threading.enumerate()
         probs = net.predict_probs(pre, post)
         assert np.array_equal(probs, whole)
-        assert threading.active_count() == before
         if cpus == 1:
-            assert calls == [(5, True, before)]
+            assert calls == [(5, "MainThread", threading.get_ident())]
+            assert threading.enumerate() == before
         else:
-            assert sorted(calls) == [(2, False, before + 1), (3, True, before + 1)]
+            assert sorted((size, name) for size, name, _ in calls) == [(2, "changedet-forward"), (3, "changedet-forward")]
+            assert len({ident for *_, ident in calls}) == 2
 
     @pytest.mark.parametrize(
         "n, hw, sizes",
@@ -483,4 +521,89 @@ class TestSplitForward:
         pre, post = rand_pair(n=n, hw=hw, seed=47)
         calls = record_forward_calls(net, monkeypatch)
         net.predict_probs(pre, post)
-        assert sorted(size for size, _, _ in calls) == sizes
+        assert sorted(size for size, *_ in calls) == sizes
+
+    def test_split_starts_its_workers_at_the_first_split(self, split_any_batch, monkeypatch):
+        # In a forked child no worker thread is left from this process's
+        # splits, so the child shows when the first one starts.
+        monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        net = M.ChangeDetector(M.preset("nano"), seed=48)
+        pre, post = rand_pair(n=2, hw=32, seed=49)
+
+        def job():
+            assert forward_workers() == []
+            net.predict_probs(pre[:1], post[:1])  # one image runs inline
+            assert forward_workers() == []
+            net.predict_probs(pre, post)
+            workers = forward_workers()
+            assert len(workers) == 2 and all(t.daemon for t in workers)
+            return b"ok"
+
+        assert in_forked_child(job) == b"ok"
+
+    def test_split_runs_every_batch_on_the_same_two_workers(self, split_any_batch, monkeypatch):
+        monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        net = M.ChangeDetector(M.preset("nano"), seed=50)
+        pre, post = rand_pair(n=4, hw=32, seed=51)
+        calls = record_forward_calls(net, monkeypatch)
+        net.predict_probs(pre, post)
+        first = {ident for *_, ident in calls}
+        calls.clear()
+        net.predict_probs(pre, post)
+        assert {ident for *_, ident in calls} == first
+        assert len(first) == 2 and threading.get_ident() not in first
+        assert {t.ident for t in forward_workers()} == first
+
+    def test_split_in_a_forked_child_matches_the_parent(self, split_any_batch, monkeypatch):
+        # The parent's workers do not exist in the child, which must start its
+        # own rather than queue work for threads that are gone.
+        monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        net = M.ChangeDetector(M.preset("nano"), seed=52)
+        pre, post = rand_pair(n=4, hw=32, seed=53)
+        probs = net.predict_probs(pre, post)
+        assert forward_workers()
+        assert in_forked_child(lambda: net.predict_probs(pre, post).tobytes()) == probs.tobytes()
+
+    def test_split_from_several_threads_at_once(self, split_any_batch, monkeypatch):
+        # More callers than cores, each queueing parts for the same two
+        # workers while threads switch as often as the interpreter allows.
+        monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        net = M.ChangeDetector(M.preset("nano"), seed=54)
+        pairs = [rand_pair(n=2 + k, hw=32, seed=55 + k) for k in range(4)]
+        wanted = [net.forward(pre, post).probs.data for pre, post in pairs]
+        got: dict[int, list[np.ndarray]] = {}
+
+        def caller(k):
+            got[k] = [net.predict_probs(*pairs[k]) for _ in range(3)]
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(pairs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, want in enumerate(wanted):
+            assert len(got[k]) == 3
+            assert all(np.array_equal(probs, want) for probs in got[k])
+
+    @pytest.mark.parametrize("image", [0, 3], ids=["first_part", "second_part"])
+    def test_split_keeps_working_after_a_worker_raised(self, image, split_any_batch, monkeypatch):
+        monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        net = M.ChangeDetector(M.preset("nano"), seed=59)
+        pre, post = rand_pair(n=4, hw=32, seed=60)
+        bad = pre.copy()
+        bad[image, 1, 5, 7] = np.nan
+        with pytest.raises(NumericError, match="^conv2d produced non-finite values in stage stem$"):
+            net.predict_probs(bad, post)
+        # on a thread of its own, so that a worker that died leaves a failed test, not a hung one
+        got = []
+        caller = threading.Thread(target=lambda: got.append(net.predict_probs(pre, post)), daemon=True)
+        caller.start()
+        caller.join(timeout=120)
+        assert not caller.is_alive()
+        assert np.array_equal(got[0], net.forward(pre, post).probs.data)

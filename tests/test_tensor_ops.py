@@ -284,6 +284,26 @@ class TestChannelPools:
         assert xt.grad[0, 0, 0, 0] == 1.0
         assert xt.grad[0, 1, 0, 0] == 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_max_backward_is_bitwise_the_scatter_to_the_first_argmax(self, dtype):
+        # Small integers make many ties within each group of 3; gout holds
+        # -0.0 entries, whose sign must reach the argmax and nowhere else.
+        rng = np.random.default_rng(47)
+        x = rng.integers(0, 3, (2, 6, 3, 4)).astype(dtype)
+        gout = rng.standard_normal((2, 2, 3, 4)).astype(dtype)
+        gout[0, 0, 0, :3] = -0.0
+        xt = T.Tensor(x)
+        with T.Tape() as tape:
+            out = T.channel_max_pool(xt, 2)
+        tape._seeded_backward(out, gout)
+        xs = x.reshape(2, 2, 3, 3, 4)
+        want = np.zeros_like(xs)
+        np.put_along_axis(want, xs.argmax(axis=2)[:, :, None], gout[:, :, None], axis=2)
+        want = want.reshape(x.shape)
+        assert xt.grad.dtype == want.dtype
+        assert np.array_equal(xt.grad, want)
+        assert np.array_equal(np.signbit(xt.grad), np.signbit(want))
+
     def test_avg_backward_spreads_evenly(self):
         x = rand((1, 4, 2, 2), 5)
         xt = T.Tensor(x)
