@@ -59,20 +59,9 @@ def _load_config_arg(path) -> RunConfig:
 
 def cmd_synth(args, out: _Output) -> int:
     rc = _load_config_arg(args.config)
-    data = rc.data
-    overrides = {}
-    if args.size is not None:
-        overrides["image_size"] = args.size
-    if args.n_train is not None:
-        overrides["train_count"] = args.n_train
-    if args.n_val is not None:
-        overrides["val_count"] = args.n_val
-    if args.n_test is not None:
-        overrides["test_count"] = args.n_test
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        data = replace(data, **overrides)
+    flags = {"image_size": args.size, "train_count": args.n_train, "val_count": args.n_val,
+             "test_count": args.n_test, "seed": args.seed}
+    data = replace(rc.data, **{key: value for key, value in flags.items() if value is not None})
     out_root = Path(args.out)
     if out_root.exists() and any(out_root.iterdir()) and not args.force:
         raise ConfigError(f"output directory {out_root} is not empty; pass --force to overwrite")
@@ -105,8 +94,7 @@ def cmd_train(args, out: _Output) -> int:
     student = ChangeDetector(rc.model, seed=train_cfg.seed)
     result = fit(student, teacher, args.data, train_cfg, log=out.line)
     ckpt = Path(args.out)
-    if ckpt.parent and not ckpt.parent.exists():
-        ckpt.parent.mkdir(parents=True)
+    ckpt.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.model, ckpt)
     best = result.logs[result.best_epoch - 1]
     out.line(f"checkpoint = {ckpt}")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, GenerationError
+from .errors import ConfigError, DataError
 from .fileio import read_input, write_atomic
 from .netpbm import load_pgm, load_ppm, save_pgm, save_ppm
 from .tensor import resize_bilinear_array
@@ -57,9 +57,8 @@ class SynthConfig:
             raise ConfigError("drift and noise_sigma must be non-negative")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-    def counts(self) -> dict[str, int]:
-        return {"train": self.train_count, "val": self.val_count, "test": self.test_count}
+        if self.max_retries < 1:
+            raise ConfigError(f"max_retries must be >= 1, got {self.max_retries}")
 
 
 @dataclass
@@ -120,7 +119,7 @@ def _shape_color(rng: np.random.Generator) -> np.ndarray:
 
 
 def render_sample(cfg: SynthConfig, rng: np.random.Generator) -> BitemporalSample:
-    """Draw one scene; raises GenerationError if the change-fraction bounds
+    """Draw one scene; raises ConfigError if the change-fraction bounds
     cannot be met within the retry budget."""
     lo, hi = cfg.change_fraction
     size = cfg.image_size
@@ -159,7 +158,7 @@ def render_sample(cfg: SynthConfig, rng: np.random.Generator) -> BitemporalSampl
             post=np.clip(post_img, 0.0, 1.0).astype(np.float32),
             mask=mask,
         )
-    raise GenerationError(
+    raise ConfigError(
         f"could not hit change fraction in [{lo}, {hi}] within {cfg.max_retries} tries; "
         "bounds are infeasible for the configured shapes"
     )
@@ -186,8 +185,8 @@ def generate_synthetic_dataset(cfg: SynthConfig, out_root) -> dict[str, DatasetI
     """
     out_root = Path(out_root)
     indexes: dict[str, DatasetIndex] = {}
-    for split_idx, split in enumerate(SPLITS):
-        count = cfg.counts()[split]
+    counts = (cfg.train_count, cfg.val_count, cfg.test_count)
+    for split_idx, (split, count) in enumerate(zip(SPLITS, counts)):
         for sub in ("A", "B", "label"):
             (out_root / split / sub).mkdir(parents=True, exist_ok=True)
         ids = []

@@ -16,7 +16,8 @@ class ShapeError(ChangeDetError):
 
 
 class ConfigError(ChangeDetError):
-    """Invalid configuration value (widths, strides, enum keys, ...)."""
+    """Invalid configuration value (widths, strides, enum keys, ...), or
+    synthetic-data bounds the configured shapes cannot meet."""
 
 
 class GraphError(ChangeDetError):
@@ -29,10 +30,6 @@ class FormatError(ChangeDetError):
 
 class DataError(ChangeDetError):
     """An input file missing (checkpoint, image, config file, manifest), or dataset files inconsistent."""
-
-
-class GenerationError(ChangeDetError):
-    """Synthetic data generation could not satisfy its constraints."""
 
 
 class NumericError(ChangeDetError):

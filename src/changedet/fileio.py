@@ -38,5 +38,6 @@ def write_atomic(path, payload: bytes) -> None:
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError) and exc.filename is not None:
-            exc.filename, exc.filename2 = str(path), None
+            # a fresh error: OSError's text shows filename2 once it is set, even to None
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         raise

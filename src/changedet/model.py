@@ -387,23 +387,20 @@ class ChangeDetector:
             return self.forward(pre, post).probs.data
         out = np.empty((n, 2, *pre.shape[2:]), dtype=pre.dtype)
         parts = (slice(0, n // 2), slice(n // 2, n))
-        failed: list[BaseException] = []
-        done = [threading.Event() for _ in parts]
+        results = queue.SimpleQueue()  # one None or exception per part
 
-        def run(part: slice, finished: threading.Event):
+        def run(part: slice):
             try:
                 out[part] = self.forward(pre.data[part], post.data[part]).probs.data
+                results.put(None)
             except BaseException as exc:  # re-raised on the calling thread below
-                failed.append(exc)
-            finally:
-                finished.set()
+                results.put(exc)
 
-        for jobs, part, finished in zip(_forward_workers(), parts, done):
-            jobs.put(functools.partial(run, part, finished))
-        for finished in done:
-            finished.wait()
-        if failed:
-            raise failed[0]
+        for jobs, part in zip(_forward_workers(), parts):
+            jobs.put(functools.partial(run, part))
+        for exc in [results.get() for _ in parts]:  # both parts finish before this raises
+            if exc is not None:
+                raise exc
         return out
 
 

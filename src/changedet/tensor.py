@@ -275,12 +275,9 @@ def conv2d(
     w_out = (w + 2 * padding - k) // stride + 1
     npix = h_out * w_out
     shape = (n, groups, c_g * k * k, npix)  # per-image columns, one block per group
-    pointwise = k == 1 and stride == 1 and padding == 0
-    if pointwise:
-        cols = x.data.reshape(shape)
-    else:
-        win = _windows(_padded(x.data, padding), k, stride).transpose(0, 1, 4, 5, 2, 3)
-        cols = np.ascontiguousarray(win).reshape(shape)
+    win = _windows(_padded(x.data, padding), k, stride).transpose(0, 1, 4, 5, 2, 3)
+    # For a 1x1, stride-1, unpadded conv this view is x.data itself, already contiguous: no copy.
+    cols = np.ascontiguousarray(win).reshape(shape)
     wm = weight.data.reshape(groups, c_out // groups, c_g * k * k)
     out = np.matmul(wm, cols).reshape(n, c_out, h_out, w_out)
     if bias is not None:
@@ -296,7 +293,7 @@ def conv2d(
         _accum(weight, dw[0].reshape(weight.shape))
         if not x.requires_grad:
             return
-        if pointwise:
+        if k == 1 and stride == 1 and padding == 0:
             _accum(x, np.matmul(wm.transpose(0, 2, 1), go).reshape(x.shape))
             return
         dxp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding), dtype=gout.dtype)

@@ -286,12 +286,11 @@ def test_predict_size_mismatch(capsys, nano_run, tmp_path):
 
 def test_predict_out_in_missing_directory_exits_2(capsys, nano_run, tmp_path):
     a, b, _ = sample_paths(nano_run.data, "test", load_index(nano_run.data, "test").ids[0])
-    code, _, err = run_cli(
-        capsys, "predict", "--ckpt", nano_run.ckpt, "--pre", a, "--post", b,
-        "--out", tmp_path / "missing" / "m.pgm",
-    )
+    out_path = tmp_path / "missing" / "m.pgm"
+    code, _, err = run_cli(capsys, "predict", "--ckpt", nano_run.ckpt, "--pre", a, "--post", b, "--out", out_path)
     assert code == 2
     assert err.startswith("error: ") and "No such file or directory" in err
+    assert err.endswith(f": {str(out_path)!r}\n")
 
 
 def test_predict_missing_image(capsys, nano_run, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from changedet import data as D
 from changedet import netpbm
-from changedet.errors import ConfigError, DataError, FormatError, GenerationError
+from changedet.errors import ConfigError, DataError, FormatError
 
 
 def small_cfg(**kw):
@@ -123,6 +123,7 @@ class TestSynthConfig:
             ("val_count", -1, "split counts must be non-negative"),
             ("drift", -0.1, "drift and noise_sigma must be non-negative"),
             ("noise_sigma", -0.1, "drift and noise_sigma must be non-negative"),
+            ("max_retries", 0, "max_retries must be >= 1"),
         ],
     )
     def test_negative_field_rejected(self, field, value, message):
@@ -154,7 +155,7 @@ class TestRenderSample:
 
     def test_infeasible_fraction_raises(self):
         cfg = small_cfg(change_fraction=(0.95, 1.0), max_retries=10)
-        with pytest.raises(GenerationError):
+        with pytest.raises(ConfigError, match="bounds are infeasible"):
             D.render_sample(cfg, np.random.default_rng(3))
 
     def test_fraction_respected(self):

@@ -1,5 +1,7 @@
 """Engine ops against the frozen loop oracles, plus tape mechanics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,20 @@ class TestConv2d:
         b = T.Tensor(np.full((1, 1, 1, 1), 1.0, np.float32))
         out = T.conv2d(x, w, b)
         np.testing.assert_array_equal(out.data[0, 0], [[3.0, 5.0], [7.0, 9.0]])
+
+    def test_pointwise_keeps_no_copy_of_its_input(self):
+        # A taped 1x1, stride-1, unpadded conv multiplies the input as it lies;
+        # a 3x3 conv of the same input builds 9 * 4 MiB of columns.
+        x = T.Tensor(rand((1, 64, 128, 128), 13))
+        w = T.Tensor(rand((8, 64, 1, 1), 14))
+        tracemalloc.start()
+        try:
+            with T.Tape():
+                T.conv2d(x, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.data.nbytes
 
     def test_padded_all_ones_counts_overlap(self):
         x = T.Tensor(np.ones((1, 1, 3, 3), np.float32))
