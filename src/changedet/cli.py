@@ -90,11 +90,13 @@ def cmd_train(args, out: _Output) -> int:
         [("data", args.data), ("out", args.out)],
         rc, ("model", "train", "loss"),
     )
+    ckpt = Path(args.out)  # checked before training, so a run is never lost to an unwritable --out
+    if ckpt.is_dir():
+        raise ConfigError(f"--out {ckpt} is a directory, not a checkpoint file")
+    ckpt.parent.mkdir(parents=True, exist_ok=True)
     teacher = make_teacher(train_cfg)
     student = ChangeDetector(rc.model, seed=train_cfg.seed)
     result = fit(student, teacher, args.data, train_cfg, log=out.line)
-    ckpt = Path(args.out)
-    ckpt.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.model, ckpt)
     best = result.logs[result.best_epoch - 1]
     out.line(f"checkpoint = {ckpt}")
@@ -105,26 +107,19 @@ def cmd_train(args, out: _Output) -> int:
     return 0
 
 
-def _metrics_lines(report) -> list[str]:
-    c = report.counts
-    return [
-        f"iou = {report.iou:.6f}",
-        f"f1 = {report.f1:.6f}",
-        f"oa = {report.oa:.6f}",
-        f"counts: tp={c.tp} fp={c.fp} fn={c.fn} tn={c.tn}",
-        f"degenerate = {'yes' if report.degenerate else 'no'}",
-    ]
-
-
 def cmd_eval(args, out: _Output) -> int:
     model = load_checkpoint(args.ckpt)
     rc = RunConfig(model=model.config)
     _echo(out, "eval", [("ckpt", args.ckpt), ("data", args.data), ("split", args.split)], rc, ("model",))
     index = load_index(args.data, args.split)
     report = evaluate(model, index, batch_size=args.batch_size)
+    c = report.counts
     out.line(f"split = {args.split} ({len(index)} samples)")
-    for line in _metrics_lines(report):
-        out.line(line)
+    out.line(f"iou = {report.iou:.6f}")
+    out.line(f"f1 = {report.f1:.6f}")
+    out.line(f"oa = {report.oa:.6f}")
+    out.line(f"counts: tp={c.tp} fp={c.fp} fn={c.fn} tn={c.tn}")
+    out.line(f"degenerate = {'yes' if report.degenerate else 'no'}")
     return 0
 
 

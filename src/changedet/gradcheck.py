@@ -97,8 +97,8 @@ def _signed_away_from_zero(rng, shape):
     return mag * rng.choice([-1.0, 1.0], size=shape)
 
 
-def _mask(rng, n, h, w):
-    return (rng.uniform(size=(n, 1, h, w)) > 0.5).astype(np.float64)
+def _normal(rng, shape):
+    return rng.normal(size=shape)
 
 
 def _probs2(rng, n, h, w, lo=0.05, hi=0.95):
@@ -106,10 +106,10 @@ def _probs2(rng, n, h, w, lo=0.05, hi=0.95):
     return np.concatenate([a, 1.0 - a], axis=1)
 
 
-def _unary(rng, op, draw=None):
-    """op(x) at a random shape; x is normal unless draw(rng, shape) is given."""
-    shape = _dims(rng)
-    return {"x": rng.normal(size=shape) if draw is None else draw(rng, shape)}, lambda t: op(t["x"])
+def _op(rng, op, **draws):
+    """op(*inputs) with one random (N, C, H, W) dims; each named input is draw(rng, dims), in order."""
+    dims = _dims(rng)
+    return {name: draw(rng, dims) for name, draw in draws.items()}, lambda t: op(*(t[name] for name in draws))
 
 
 def _channel_pool(rng, op, clear_winner=False):
@@ -130,7 +130,7 @@ def _channel_pool(rng, op, clear_winner=False):
 def _gt_loss(rng, op, draw):
     """op(x, gt) on a random binary mask gt and x = draw(rng, n, h, w)."""
     n, h, w = _nhw(rng)
-    gt = _mask(rng, n, h, w)
+    gt = (rng.uniform(size=(n, 1, h, w)) > 0.5).astype(np.float64)
     return {"x": draw(rng, n, h, w)}, lambda t: op(t["x"], gt)
 
 
@@ -173,18 +173,6 @@ def _build_bilinear_resize(rng):
     return arrays, lambda t: T.bilinear_resize(t["x"], oh, ow)
 
 
-def _build_add(rng):
-    shape = _dims(rng)
-    arrays = {"a": rng.normal(size=shape), "b": rng.normal(size=shape)}
-    return arrays, lambda t: T.add(t["a"], t["b"])
-
-
-def _build_mul_broadcast(rng):
-    n, c, h, w = _dims(rng)
-    arrays = {"g": rng.normal(size=(n, 1, h, w)), "x": rng.normal(size=(n, c, h, w))}
-    return arrays, lambda t: T.mul_broadcast(t["g"], t["x"])
-
-
 def _build_scale(rng):
     k = float(rng.uniform(-2.0, 2.0))
     return {"x": rng.normal(size=_dims(rng))}, lambda t: T.scale(t["x"], k)
@@ -196,12 +184,6 @@ def _build_concat_channel(rng):
     arrays = {f"x{i}": rng.normal(size=(n, int(rng.integers(1, 4)), h, w)) for i in range(parts)}
     names = sorted(arrays)
     return arrays, lambda t: T.concat_channel([t[k] for k in names])
-
-
-def _build_softmax_channel(rng):
-    n, _, h, w = _dims(rng)
-    c = int(rng.integers(2, 5))
-    return {"x": rng.normal(size=(n, c, h, w))}, lambda t: T.softmax_channel(t["x"])
 
 
 def _build_mae_loss(rng):
@@ -250,17 +232,19 @@ REGISTRY: dict[str, tuple[Callable, int | None]] = {
     "conv2d": (_build_conv, None),
     "channel_avg_pool": (lambda rng: _channel_pool(rng, T.channel_avg_pool), None),
     "channel_max_pool": (lambda rng: _channel_pool(rng, T.channel_max_pool, clear_winner=True), None),
-    "channel_mean": (lambda rng: _unary(rng, T.channel_mean), None),
+    "channel_mean": (lambda rng: _op(rng, T.channel_mean, x=_normal), None),
     "bilinear_resize": (_build_bilinear_resize, None),
-    "relu": (lambda rng: _unary(rng, T.relu, _signed_away_from_zero), None),
-    "tanh": (lambda rng: _unary(rng, T.tanh), None),
-    "sigmoid": (lambda rng: _unary(rng, T.sigmoid), None),
-    "add": (_build_add, None),
-    "mul_broadcast": (_build_mul_broadcast, None),
+    "relu": (lambda rng: _op(rng, T.relu, x=_signed_away_from_zero), None),
+    "tanh": (lambda rng: _op(rng, T.tanh, x=_normal), None),
+    "sigmoid": (lambda rng: _op(rng, T.sigmoid, x=_normal), None),
+    "add": (lambda rng: _op(rng, T.add, a=_normal, b=_normal), None),
+    "mul_broadcast": (lambda rng: _op(rng, T.mul_broadcast, g=lambda r, d: _normal(r, (d[0], 1, *d[2:])), x=_normal), None),
     "scale": (_build_scale, None),
     "concat_channel": (_build_concat_channel, None),
-    "softmax_channel": (_build_softmax_channel, None),
-    "sum_all": (lambda rng: _unary(rng, T.sum_all), None),
+    "softmax_channel": (
+        lambda rng: _op(rng, T.softmax_channel, x=lambda r, d: _normal(r, (d[0], int(r.integers(2, 5)), *d[2:]))), None
+    ),
+    "sum_all": (lambda rng: _op(rng, T.sum_all, x=_normal), None),
     "ce_loss": (lambda rng: _gt_loss(rng, L.ce_loss, lambda r, n, h, w: r.normal(size=(n, 2, h, w))), None),
     "bce_loss": (lambda rng: _gt_loss(rng, L.bce_loss, lambda r, n, h, w: r.uniform(0.05, 0.95, (n, 1, h, w))), None),
     "mae_loss": (_build_mae_loss, None),

@@ -293,9 +293,6 @@ def conv2d(
         _accum(weight, dw[0].reshape(weight.shape))
         if not x.requires_grad:
             return
-        if k == 1 and stride == 1 and padding == 0:
-            _accum(x, np.matmul(wm.transpose(0, 2, 1), go).reshape(x.shape))
-            return
         dxp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding), dtype=gout.dtype)
         depthwise = groups == c_in == c_out
         if depthwise:

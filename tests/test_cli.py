@@ -195,6 +195,21 @@ def test_train_oracle_teacher_into_a_new_directory(capsys, nano_run, tmp_path):
     assert load_checkpoint(ckpt).config == preset("nano")
 
 
+@pytest.mark.parametrize("case", ["file-parent", "directory"])
+def test_train_out_that_cannot_be_written_fails_before_training(capsys, monkeypatch, data_root, tmp_path, case):
+    import changedet.cli as cli
+
+    monkeypatch.setattr(cli, "fit", lambda *a, **k: pytest.fail("trained before checking --out"))
+    (tmp_path / "afile").write_text("not a directory", encoding="utf-8")
+    (tmp_path / "outdir").mkdir()
+    target = tmp_path / "afile" / "s.ckpt" if case == "file-parent" else tmp_path / "outdir"
+    code, _, err = run_cli(capsys, "train", "--oracle-teacher", "--data", data_root, "--out", target)
+    assert code == 2
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1
+    assert ("afile" if case == "file-parent" else str(target)) in errors[0]
+
+
 def test_train_missing_teacher_checkpoint(capsys, data_root, tmp_path):
     code, _, err = run_cli(
         capsys, "train", "--data", data_root, "--out", tmp_path / "s.npz",

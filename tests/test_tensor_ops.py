@@ -195,6 +195,24 @@ class TestConv2d:
         for a in input_sized:
             assert np.shares_memory(a, x.data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape,cout", [((3, 144, 16, 16), 64), ((1, 3, 1, 1), 5), ((2, 5, 4, 3), 3)], ids=["head-fc1", "1x1-map", "n2"]
+    )
+    def test_pointwise_dx_is_one_gemm_exactly(self, dtype, shape, cout):
+        # An unpadded stride-1 1x1 conv scatters its dX once into a zeroed
+        # canvas, so x.grad holds the bits of the single GEMM w^T @ gout.
+        n, c, h, w = shape
+        x = T.Tensor(rand(shape, 21, dtype))
+        wt = T.Tensor(rand((cout, c, 1, 1), 22, dtype))
+        with T.Tape() as tape:
+            out = T.conv2d(x, wt)
+        gout = rand(out.shape, 23, dtype)
+        tape._seeded_backward(out, gout)
+        want = np.matmul(wt.data.reshape(cout, c).T, gout.reshape(n, cout, h * w)).reshape(shape)
+        assert x.grad.dtype == want.dtype
+        assert np.array_equal(x.grad, want)
+
     def test_rejects_bad_geometry(self):
         x = T.Tensor(np.zeros((1, 4, 4, 4), np.float32))
         with pytest.raises(ConfigError):
