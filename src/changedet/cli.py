@@ -57,11 +57,15 @@ def _load_config_arg(path) -> RunConfig:
     return load_run_config(path) if path else RunConfig()
 
 
+def _with_flags(config, **flags):
+    """`config` with the value of each flag that was given; a flag left out (None) keeps the config's."""
+    return replace(config, **{key: value for key, value in flags.items() if value is not None})
+
+
 def cmd_synth(args, out: _Output) -> int:
     rc = _load_config_arg(args.config)
-    flags = {"image_size": args.size, "train_count": args.n_train, "val_count": args.n_val,
-             "test_count": args.n_test, "seed": args.seed}
-    data = replace(rc.data, **{key: value for key, value in flags.items() if value is not None})
+    data = _with_flags(rc.data, image_size=args.size, train_count=args.n_train, val_count=args.n_val,
+                       test_count=args.n_test, seed=args.seed)
     out_root = Path(args.out)
     if out_root.exists() and any(out_root.iterdir()) and not args.force:
         raise ConfigError(f"output directory {out_root} is not empty; pass --force to overwrite")
@@ -204,10 +208,9 @@ def _ablation_rows(preset_name: str, model_preset: str):
 def cmd_ablate(args, out: _Output) -> int:
     rows = _ablation_rows(args.preset, args.model_preset)
     rc = _load_config_arg(args.config)
-    base_train = replace(
-        rc.train, epochs=args.epochs, seed=args.seed, batch_size=args.batch_size,
-        teacher_mode="none", teacher_checkpoint=None,
-    )
+    train = rc.train if args.config else replace(rc.train, epochs=4, batch_size=8, seed=0)
+    train = _with_flags(train, epochs=args.epochs, seed=args.seed, batch_size=args.batch_size)
+    base_train = replace(train, teacher_mode="none", teacher_checkpoint=None)
     _echo(
         out, "ablate",
         [("data", args.data), ("preset", args.preset), ("model_preset", args.model_preset)],
@@ -305,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", required=True, choices=("components", "losses", "backbones"))
     p.add_argument("--config", help="run-config file for the shared training settings")
     p.add_argument("--model-preset", default="tiny", help="model preset for non-backbone ablations")
-    p.add_argument("--epochs", type=int, default=4)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, help="default: the --config file's [train] epochs, else 4")
+    p.add_argument("--batch-size", type=int, help="default: the --config file's [train] batch_size, else 8")
+    p.add_argument("--seed", type=int, help="default: the --config file's [train] seed, else 0")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("gradcheck", parents=[common], help="finite-difference gradient verification")

@@ -33,8 +33,8 @@ class RunConfig:
 
 
 def _get(config, path: tuple):
-    for step in path:
-        config = config[step] if isinstance(step, int) else getattr(config, step)
+    for name in path:
+        config = getattr(config, name)
     return config
 
 
@@ -47,33 +47,19 @@ _SECTIONS = {
     "loss": (("train", "selection"), ("train", "weights")),
 }
 
-# Fields whose keys are not their names; a pair field is spelled as two keys.
-_SPELLING = {
-    "enabled": "augment",
-    "scale_range": ("scale_min", "scale_max"),
-    "blur_sigma": ("blur_sigma_min", "blur_sigma_max"),
-    "shape_count": ("shape_min", "shape_max"),
-    "change_fraction": ("change_min", "change_max"),
-}
-
 
 def _keys(parts: tuple[tuple, ...]):
     """(key, path) of each field of `parts` in declaration order; nested dataclasses are parts, not keys."""
     for part in parts:
         config = _get(RunConfig(), part)
         for f in fields(config):
-            if is_dataclass(getattr(config, f.name)):
-                continue
-            spelled, path = _SPELLING.get(f.name, f.name), part + (f.name,)
-            if isinstance(spelled, str):
-                yield spelled, path
-            else:
-                yield from ((key, path + (i,)) for i, key in enumerate(spelled))
+            if not is_dataclass(getattr(config, f.name)):
+                yield f.metadata.get("key", f.name), part + (f.name,)
 
 
-# Per section, in rendering order: each key and its path into RunConfig.  A
-# trailing index addresses one end of a pair field.  A value's type is the
-# type of its default.
+# Per section, in rendering order: each key (its field's name, or the field's
+# metadata["key"]) and its path into RunConfig.  A value's type is the type
+# of its default.
 SCHEMA: dict[str, tuple[tuple[str, tuple], ...]] = {s: tuple(_keys(parts)) for s, parts in _SECTIONS.items()}
 
 
@@ -95,12 +81,10 @@ def _to_float(section: str, key: str, raw: str) -> float:
 
 
 def _to_bool(section: str, key: str, raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("on", "true", "yes", "1"):
-        return True
-    if low in ("off", "false", "no", "0"):
-        return False
-    raise ConfigError(f"[{section}] {key}: expected on/off, got {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"[{section}] {key}: expected on/off, got {raw!r}")
 
 
 def _to_int_tuple(section: str, key: str, raw: str) -> tuple[int, ...]:
@@ -130,12 +114,7 @@ def _build(config, path: tuple, values: dict[tuple, object]):
     for f in fields(config):
         here = path + (f.name,)
         old = getattr(config, f.name)
-        if is_dataclass(old):
-            changes[f.name] = _build(old, here, values)
-        elif isinstance(old, tuple) and here not in values:
-            changes[f.name] = tuple(values.get(here + (i,), v) for i, v in enumerate(old))
-        else:
-            changes[f.name] = values.get(here, old)
+        changes[f.name] = _build(old, here, values) if is_dataclass(old) else values.get(here, old)
     return replace(config, **changes)
 
 

@@ -34,23 +34,22 @@ class SynthConfig:
     train_count: int = 200
     val_count: int = 50
     test_count: int = 50
-    shape_count: tuple[int, int] = (2, 5)
-    change_fraction: tuple[float, float] = (0.05, 0.35)
+    shape_min: int = 2
+    shape_max: int = 5
+    change_min: float = 0.05
+    change_max: float = 0.35
     drift: float = 0.08
     noise_sigma: float = 0.02
     seed: int = 0
     max_retries: int = 80
 
     def __post_init__(self):
-        object.__setattr__(self, "shape_count", tuple(int(v) for v in self.shape_count))
-        object.__setattr__(self, "change_fraction", tuple(float(v) for v in self.change_fraction))
         if self.image_size < 32 or self.image_size % 32:
             raise ConfigError(f"image_size must be a multiple of 32, got {self.image_size}")
-        lo, hi = self.change_fraction
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ConfigError(f"change_fraction bounds must satisfy 0 <= lo <= hi <= 1, got {lo}, {hi}")
-        if self.shape_count[0] < 1 or self.shape_count[0] > self.shape_count[1]:
-            raise ConfigError(f"shape_count range invalid: {self.shape_count}")
+        if not 0.0 <= self.change_min <= self.change_max <= 1.0:
+            raise ConfigError(f"need 0 <= change_min <= change_max <= 1, got {self.change_min}, {self.change_max}")
+        if not 1 <= self.shape_min <= self.shape_max:
+            raise ConfigError(f"need 1 <= shape_min <= shape_max, got {self.shape_min}, {self.shape_max}")
         if min(self.train_count, self.val_count, self.test_count) < 0:
             raise ConfigError("split counts must be non-negative")
         if self.drift < 0 or self.noise_sigma < 0:
@@ -121,11 +120,11 @@ def _shape_color(rng: np.random.Generator) -> np.ndarray:
 def render_sample(cfg: SynthConfig, rng: np.random.Generator) -> BitemporalSample:
     """Draw one scene; raises ConfigError if the change-fraction bounds
     cannot be met within the retry budget."""
-    lo, hi = cfg.change_fraction
+    lo, hi = cfg.change_min, cfg.change_max
     size = cfg.image_size
     for _ in range(cfg.max_retries):
         background = _background(rng, size)
-        n_shapes = int(rng.integers(cfg.shape_count[0], cfg.shape_count[1] + 1))
+        n_shapes = int(rng.integers(cfg.shape_min, cfg.shape_max + 1))
         taken: list[tuple] = []
         pre_occ = np.zeros((size, size), dtype=bool)
         post_occ = np.zeros((size, size), dtype=bool)
@@ -215,7 +214,7 @@ def load_index(root, split: str) -> DatasetIndex:
     for lineno, line in enumerate(text.splitlines(), 1):
         sample_id = line.strip()
         # an id names one file per folder; a path in it would reach outside the dataset root
-        if "/" in sample_id or "\\" in sample_id or sample_id in (".", ".."):
+        if any(c in sample_id for c in "/\\\0") or sample_id in (".", ".."):
             raise DataError(f"{manifest}:{lineno}: sample id {sample_id!r} is not a single path component")
         # a repeated id would be scored twice by eval and trained on twice per epoch
         if sample_id in first_line:

@@ -14,11 +14,14 @@ from .errors import DataError
 
 def read_input(path, what: str) -> bytes:
     """The bytes of the file at path; a path that names no file, or names a
-    directory, raises ``DataError("<what> not found: <path>")``."""
+    directory, raises ``DataError("<what> not found: <path>")``; a path holding
+    a NUL byte, which no OS accepts, raises a DataError that shows it by repr."""
     try:
         return Path(path).read_bytes()
     except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
         raise DataError(f"{what} not found: {path}") from None
+    except ValueError:
+        raise DataError(f"{what} path {str(path)!r} holds a NUL byte") from None
 
 
 def write_atomic(path, payload: bytes) -> None:

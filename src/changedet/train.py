@@ -30,30 +30,28 @@ ORACLE_SMOOTHING = 0.1  # label smoothing of the oracle teacher's one-hot target
 class AugmentConfig:
     """Per-batch augmentation gates and magnitudes (all probabilities in [0,1])."""
 
-    enabled: bool = True
+    enabled: bool = field(default=True, metadata={"key": "augment"})
     flip_prob: float = 0.5
     jitter_prob: float = 0.5
     jitter_strength: float = 0.1
     scale_prob: float = 0.3
-    scale_range: tuple[float, float] = (1.0, 1.2)
+    scale_min: float = 1.0
+    scale_max: float = 1.2
     blur_prob: float = 0.2
-    blur_sigma: tuple[float, float] = (0.3, 1.0)
+    blur_sigma_min: float = 0.3
+    blur_sigma_max: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "scale_range", tuple(float(v) for v in self.scale_range))
-        object.__setattr__(self, "blur_sigma", tuple(float(v) for v in self.blur_sigma))
         for name in ("flip_prob", "jitter_prob", "scale_prob", "blur_prob"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"AugmentConfig.{name} must lie in [0, 1], got {v}")
         if self.jitter_strength < 0:
             raise ConfigError(f"jitter_strength must be >= 0, got {self.jitter_strength}")
-        lo, hi = self.scale_range
-        if not 1.0 <= lo <= hi:
-            raise ConfigError(f"scale_range must satisfy 1 <= lo <= hi, got {self.scale_range}")
-        lo, hi = self.blur_sigma
-        if not 0.0 < lo <= hi:
-            raise ConfigError(f"blur_sigma must satisfy 0 < lo <= hi, got {self.blur_sigma}")
+        if not 1.0 <= self.scale_min <= self.scale_max:
+            raise ConfigError(f"need 1 <= scale_min <= scale_max, got {self.scale_min}, {self.scale_max}")
+        if not 0.0 < self.blur_sigma_min <= self.blur_sigma_max:
+            raise ConfigError(f"need 0 < blur_sigma_min <= blur_sigma_max, got {self.blur_sigma_min}, {self.blur_sigma_max}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,7 @@ def augment_pair(sample: BitemporalSample, rng, config: AugmentConfig = AugmentC
         pre, post = jittered
         if rng.random() < config.scale_prob:
             h, w = mask.shape
-            factor = rng.uniform(*config.scale_range)
+            factor = rng.uniform(config.scale_min, config.scale_max)
             nh, nw = max(h, round(h * factor)), max(w, round(w * factor))
             top = int(rng.integers(0, nh - h + 1))
             left = int(rng.integers(0, nw - w + 1))
@@ -149,7 +147,7 @@ def augment_pair(sample: BitemporalSample, rng, config: AugmentConfig = AugmentC
         blurred = []
         for img in (pre, post):
             if rng.random() < config.blur_prob:
-                img = gaussian_blur3(img, float(rng.uniform(*config.blur_sigma)))
+                img = gaussian_blur3(img, float(rng.uniform(config.blur_sigma_min, config.blur_sigma_max)))
             blurred.append(img)
         pre, post = blurred
     pre = np.clip(pre, 0.0, 1.0).astype(np.float32, copy=False)

@@ -13,7 +13,8 @@ E2E_DATA = SynthConfig(
     train_count=200,
     val_count=50,
     test_count=50,
-    change_fraction=(0.15, 0.40),
+    change_min=0.15,
+    change_max=0.40,
     seed=0,
 )
 E2E_TRAIN = TrainConfig(

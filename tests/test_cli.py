@@ -219,6 +219,17 @@ def test_train_missing_teacher_checkpoint(capsys, data_root, tmp_path):
     assert "error:" in err
 
 
+def test_train_teacher_checkpoint_with_nul_byte_exits_2(capsys, monkeypatch, data_root, tmp_path):
+    import changedet.cli as cli
+
+    monkeypatch.setattr(cli, "fit", lambda *a, **k: pytest.fail("trained without a teacher"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[train]\nteacher_mode = checkpoint\nteacher_checkpoint = t\0.ckpt\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "train", "--config", cfg, "--data", data_root, "--out", tmp_path / "s.ckpt")
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: checkpoint path 't\\x00.ckpt'")
+
+
 def test_train_missing_data(capsys, tmp_path):
     code, _, err = run_cli(capsys, "train", "--data", tmp_path / "void", "--out", tmp_path / "s.npz")
     assert code == 2
@@ -444,6 +455,27 @@ def test_ablate_backbones_table(capsys, data_root):
     assert rows["nano"].params < rows["tiny"].params < rows["small"].params
 
 
+def test_ablate_reads_training_values_from_the_config(capsys, monkeypatch, data_root, tmp_path):
+    import changedet.cli as cli
+
+    trained = []
+    monkeypatch.setattr(cli, "fit", lambda student, teacher, data, cfg: trained.append(cfg))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[train]\nepochs = 2\nbatch_size = 2\nseed = 7\n", encoding="utf-8")
+    argv = ["ablate", "--data", data_root, "--preset", "components", "--model-preset", "nano"]
+    for flags, expected in [
+        (["--config", cfg], (2, 2, 7)),
+        (["--config", cfg, "--epochs", 1], (1, 2, 7)),
+        ([], (4, 8, 0)),
+    ]:
+        trained.clear()
+        code, out, _ = run_cli(capsys, *argv, *flags)
+        assert code == 0
+        train = echoed_config(out).train
+        assert (train.epochs, train.batch_size, train.seed) == expected
+        assert {(t.epochs, t.batch_size, t.seed) for t in trained} == {expected}
+
+
 def test_ablate_needs_test_split(capsys, no_test_root):
     code, _, err = run_cli(
         capsys, "ablate", "--data", no_test_root, "--preset", "components",
@@ -537,6 +569,13 @@ def _manifest_duplicate_id(tmp_path):
     return ["eval", "--ckpt", ckpt, "--data", root]
 
 
+def _manifest_nul_id(tmp_path):
+    ckpt = _nano_checkpoint(tmp_path)
+    root = _one_pair_test_split(tmp_path, "data", 32)
+    (root / "test" / "manifest.txt").write_bytes(b"te\0st\n")
+    return ["eval", "--ckpt", ckpt, "--data", root]
+
+
 def _nan_bias_checkpoint(tmp_path):
     model = ChangeDetector(preset("nano"))
     model.params[list(model.params)[-1]].data[...] = np.nan
@@ -585,6 +624,7 @@ def _eval_truncated_checkpoint(tmp_path):
         _mixed_size_test_split,
         _manifest_id_outside_root,
         _manifest_duplicate_id,
+        _manifest_nul_id,
         _eval_nan_checkpoint,
         _predict_nan_checkpoint,
         lambda tmp_path: _predict_argv(tmp_path, pre=tmp_path / "no.ppm"),
@@ -598,6 +638,7 @@ def _eval_truncated_checkpoint(tmp_path):
         "gradcheck-zero-instances", "gradcheck-negative-instances", "gradcheck-negative-seed",
         "synth-negative-seed", "non-utf8-config", "non-utf8-manifest",
         "eval-mixed-image-sizes", "manifest-id-outside-root", "manifest-duplicate-id",
+        "manifest-nul-id",
         "eval-nan-checkpoint", "predict-nan-checkpoint",
         "predict-missing-pre", "predict-directory-post", "train-missing-config",
         "bench-config-directory", "eval-no-manifest", "eval-truncated-checkpoint",

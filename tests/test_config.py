@@ -1,7 +1,8 @@
 """Run-config files: strict keys, resolved defaults, exact round-trips."""
 
+import functools
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -39,8 +40,10 @@ def test_customised_config_round_trips():
             augment=AugmentConfig(
                 flip_prob=0.25,
                 jitter_strength=0.2,
-                scale_range=(1.05, 1.3),
-                blur_sigma=(0.4, 0.8),
+                scale_min=1.05,
+                scale_max=1.3,
+                blur_sigma_min=0.4,
+                blur_sigma_max=0.8,
             ),
             weights=LossWeights(alpha1=1.0, alpha2=0.0, alpha3=2.0),
             selection=LossSelection(gt_loss="soft_miou", distill_loss="kl"),
@@ -50,8 +53,10 @@ def test_customised_config_round_trips():
             train_count=12,
             val_count=3,
             test_count=3,
-            shape_count=(2, 5),
-            change_fraction=(0.15, 0.4),
+            shape_min=2,
+            shape_max=5,
+            change_min=0.15,
+            change_max=0.4,
             drift=0.08,
             noise_sigma=0.01,
             seed=3,
@@ -188,6 +193,21 @@ def test_every_key_round_trips_away_from_its_default(section, key):
     assert parse_run_config(effective_text(rc)) == rc
 
 
+def test_every_key_names_one_field():
+    # A key is its field's name or the field's metadata["key"], and its path
+    # steps through attributes only; `augment` is the one key spelled apart.
+    respelled = []
+    for entries in SCHEMA.values():
+        for key, path in entries:
+            assert all(isinstance(step, str) for step in path), path
+            owner = functools.reduce(getattr, path[:-1], RunConfig())
+            field = {f.name: f for f in fields(owner)}[path[-1]]
+            assert key == field.metadata.get("key", field.name)
+            if key != field.name:
+                respelled.append((key, field.name))
+    assert respelled == [("augment", "enabled")]
+
+
 def test_every_truncation_and_deletion_raises_only_config_error():
     text = effective_text(RunConfig())
     variants = [text[:i] for i in range(len(text))] + [text[:i] + text[i + 1 :] for i in range(len(text))]
@@ -308,10 +328,9 @@ def test_loss_section_feeds_train_config():
     assert rc.train.weights == LossWeights(alpha1=1.0, alpha2=0.0, alpha3=1.0)
 
 
-def test_augment_range_keys_map_to_pairs():
+def test_augment_range_keys_set_their_fields():
     rc = parse_run_config("[train]\nscale_min = 1.1\nscale_max = 1.5\nblur_sigma_min = 0.2\nblur_sigma_max = 0.6\n")
-    assert rc.train.augment.scale_range == (1.1, 1.5)
-    assert rc.train.augment.blur_sigma == (0.2, 0.6)
+    assert rc.train.augment == AugmentConfig(scale_min=1.1, scale_max=1.5, blur_sigma_min=0.2, blur_sigma_max=0.6)
 
 
 def test_field_validation_still_applies():

@@ -111,11 +111,11 @@ class TestNetpbm:
 class TestSynthConfig:
     def test_bounds_validated(self):
         with pytest.raises(ConfigError):
-            D.SynthConfig(change_fraction=(0.5, 0.2))
+            D.SynthConfig(change_min=0.5, change_max=0.2)
         with pytest.raises(ConfigError):
             D.SynthConfig(image_size=33)
         with pytest.raises(ConfigError):
-            D.SynthConfig(shape_count=(0, 3))
+            D.SynthConfig(shape_min=0, shape_max=3)
 
     @pytest.mark.parametrize(
         "field,value,message",
@@ -149,17 +149,17 @@ class TestRenderSample:
         assert set(np.unique(s.mask)) <= {0, 1}
 
     def test_unchanged_scene_has_empty_mask(self):
-        cfg = small_cfg(shape_count=(1, 1), change_fraction=(0.0, 0.0))
+        cfg = small_cfg(shape_min=1, shape_max=1, change_min=0.0, change_max=0.0)
         s = D.render_sample(cfg, np.random.default_rng(2))
         assert s.mask.sum() == 0
 
     def test_infeasible_fraction_raises(self):
-        cfg = small_cfg(change_fraction=(0.95, 1.0), max_retries=10)
+        cfg = small_cfg(change_min=0.95, change_max=1.0, max_retries=10)
         with pytest.raises(ConfigError, match="bounds are infeasible"):
             D.render_sample(cfg, np.random.default_rng(3))
 
     def test_fraction_respected(self):
-        cfg = small_cfg(change_fraction=(0.05, 0.4))
+        cfg = small_cfg(change_min=0.05, change_max=0.4)
         for seed in range(5):
             s = D.render_sample(cfg, np.random.default_rng(seed))
             assert 0.05 <= s.mask.mean() <= 0.4
@@ -178,7 +178,7 @@ class TestGenerateDataset:
     def test_fractions_hold_on_disk(self, tmp_path):
         cfg = small_cfg()
         idx = D.generate_synthetic_dataset(cfg, tmp_path)
-        lo, hi = cfg.change_fraction
+        lo, hi = cfg.change_min, cfg.change_max
         for split in ("train", "val", "test"):
             for sid in idx[split].ids:
                 s = D.load_sample(idx[split], sid)
@@ -209,7 +209,7 @@ class TestGenerateDataset:
         with pytest.raises(DataError):
             D.load_index(tmp_path, "train")
 
-    @pytest.mark.parametrize("bad_id", ["../../../outside/x", "a/b", "/abs", "a\\b", "..", "."])
+    @pytest.mark.parametrize("bad_id", ["../../../outside/x", "a/b", "/abs", "a\\b", "..", ".", "a\x00b"])
     def test_manifest_id_must_be_one_path_component(self, tmp_path, bad_id):
         D.generate_synthetic_dataset(small_cfg(), tmp_path)
         manifest = tmp_path / "val" / "manifest.txt"

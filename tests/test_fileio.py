@@ -60,6 +60,13 @@ def test_read_input_reports_a_missing_file_or_a_directory_as_not_found(tmp_path,
         read_input(tmp_path / name, "thing")
 
 
+@pytest.mark.parametrize("as_path", [str, Path], ids=["str", "Path"])
+def test_read_input_reports_a_nul_byte_in_the_path(tmp_path, as_path):
+    path = as_path(f"{tmp_path}/a\0b")
+    with pytest.raises(DataError, match=f"^thing path {re.escape(repr(str(path)))} holds a NUL byte$"):
+        read_input(path, "thing")
+
+
 @pytest.mark.parametrize("load", [netpbm.load_ppm, netpbm.load_pgm], ids=["ppm", "pgm"])
 def test_netpbm_loader_reports_a_missing_file_as_not_found(tmp_path, load):
     with pytest.raises(DataError, match=f"^image not found: {re.escape(str(tmp_path / 'absent'))}$"):

@@ -115,9 +115,9 @@ class TestAugmentPair:
         with pytest.raises(ConfigError):
             AugmentConfig(flip_prob=1.5)
         with pytest.raises(ConfigError):
-            AugmentConfig(scale_range=(0.9, 1.2))
+            AugmentConfig(scale_min=0.9)
         with pytest.raises(ConfigError):
-            AugmentConfig(blur_sigma=(0.0, 1.0))
+            AugmentConfig(blur_sigma_min=0.0)
         with pytest.raises(ConfigError):
             AugmentConfig(jitter_strength=-0.1)
 
@@ -337,7 +337,7 @@ class TestFit:
         # one blocky shape per scene: the upsampled stride-4 logits can
         # represent the mask almost exactly, so CE can be driven near zero
         data = SynthConfig(image_size=32, train_count=4, val_count=2, test_count=0,
-                           seed=5, shape_count=(1, 1))
+                           seed=5, shape_min=1, shape_max=1)
         generate_synthetic_dataset(data, tmp_path)
         student = ChangeDetector(preset("nano", input_size=(32, 32)), seed=2)
         cfg = TrainConfig(batch_size=4, base_lr=5e-3, weight_decay=0.0, epochs=200, seed=2,
