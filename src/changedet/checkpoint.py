@@ -28,7 +28,7 @@ import numpy as np
 from .config import model_text, parse_model_text
 from .errors import ConfigError, FormatError
 from .fileio import read_input, write_atomic
-from .model import ChangeDetector, parameter_names
+from .model import ChangeDetector
 from .tensor import REAL32, Tensor
 
 MAGIC = b"EOCD"
@@ -38,11 +38,10 @@ DTYPE_REAL32 = 0
 
 def save_checkpoint(model: ChangeDetector, path) -> None:
     config_bytes = model_text(model.config).encode("utf-8")
-    names = parameter_names(model.config)
     chunks = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(config_bytes)), config_bytes]
-    chunks.append(struct.pack("<I", len(names)))
-    for name in names:
-        data = np.ascontiguousarray(model.params[name].data, dtype="<f4")
+    chunks.append(struct.pack("<I", len(model.params)))
+    for name, p in model.params.items():
+        data = np.ascontiguousarray(p.data, dtype="<f4")
         name_bytes = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(name_bytes)))
         chunks.append(name_bytes)
@@ -118,12 +117,7 @@ def load_checkpoint(path) -> ChangeDetector:
         tensors[name] = Tensor(data)
     if r.pos != len(r.buf):
         raise FormatError(f"{path.name}: {len(r.buf) - r.pos} trailing bytes after last tensor")
-    want = parameter_names(config)
-    if set(tensors) != set(want):
-        diff = sorted(set(tensors) ^ set(want))
-        raise FormatError(f"{path.name}: tensor names do not match the config: {diff[:6]}")
-    ordered = {name: tensors[name] for name in want}
     try:
-        return ChangeDetector(config, params=ordered)
+        return ChangeDetector(config, params=tensors)
     except ConfigError as e:  # the tensors contradict the embedded config
         raise FormatError(f"{path.name}: {e}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, effective_text, load_run_config
+from .config import SCHEMA, RunConfig, effective_text, load_run_config
 from .data import SPLITS, generate_synthetic_dataset, load_index, load_sample
 from .errors import ChangeDetError, ConfigError, DataError
 from .gradcheck import DEFAULT_INSTANCES, check_all, check_op
@@ -45,10 +45,13 @@ class _Output:
             self.fh.close()
 
 
-def _echo(out: _Output, command: str, args_pairs: list[tuple[str, object]], run_config: RunConfig, names):
+def _echo(out: _Output, command: str, args_pairs: list[tuple[str, object]], run_config: RunConfig, names,
+          config_file=None):
     out.line(f"# changedet {command} (v{__version__})")
     for key, value in args_pairs:
         out.line(f"# {key} = {value}")
+    if config_file:  # one --config file may serve every command; name the sections this one never reads
+        out.line("# not read: " + " ".join(f"[{s}]" for s in SCHEMA if s not in names))
     out.line(effective_text(run_config, names).rstrip("\n"))
     out.line("# end config")
 
@@ -69,7 +72,7 @@ def cmd_synth(args, out: _Output) -> int:
     out_root = Path(args.out)
     if out_root.exists() and any(out_root.iterdir()) and not args.force:
         raise ConfigError(f"output directory {out_root} is not empty; pass --force to overwrite")
-    _echo(out, "synth", [("out", out_root), ("force", args.force)], replace(rc, data=data), ("data",))
+    _echo(out, "synth", [("out", out_root), ("force", args.force)], replace(rc, data=data), ("data",), args.config)
     indexes = generate_synthetic_dataset(data, out_root)
     for split in SPLITS:
         index = indexes[split]
@@ -92,7 +95,7 @@ def cmd_train(args, out: _Output) -> int:
     _echo(
         out, "train",
         [("data", args.data), ("out", args.out)],
-        rc, ("model", "train", "loss"),
+        rc, ("model", "train", "loss"), args.config,
     )
     ckpt = Path(args.out)  # checked before training, so a run is never lost to an unwritable --out
     if ckpt.is_dir():
@@ -160,7 +163,7 @@ def cmd_bench(args, out: _Output) -> int:
     _echo(
         out, "bench",
         [source, ("size", args.size), ("warmup", args.warmup), ("runs", args.runs)],
-        rc, ("model",),
+        rc, ("model",), args.config,
     )
     size = (args.size, args.size)
     p = param_counts(model.params)
@@ -214,7 +217,7 @@ def cmd_ablate(args, out: _Output) -> int:
     _echo(
         out, "ablate",
         [("data", args.data), ("preset", args.preset), ("model_preset", args.model_preset)],
-        replace(rc, train=base_train), ("train",),
+        replace(rc, train=base_train), ("train",), args.config,
     )
     # probe the dataset's image size once so FLOPs match the evaluated input
     test_index = load_index(args.data, "test")

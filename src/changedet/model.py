@@ -313,29 +313,21 @@ def head_forward(
 class ChangeDetector:
     """The trainable model: config plus named parameters."""
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        params: dict[str, Tensor] | None = None,
-        seed: int = 0,
-        dtype=REAL32,
-    ):
+    def __init__(self, config: ModelConfig, params: dict[str, Tensor] | None = None, seed: int = 0):
+        """`params` (else ``init_params(config, seed)``) in any order, checked against `config`'s
+        names and shapes and held in ``parameter_names(config)`` order; a mismatch is a ConfigError."""
         self.config = config
         if params is None:
-            params = init_params(config, seed=seed, dtype=dtype)
-        else:
-            want = parameter_names(config)
-            if list(params.keys()) != want:
-                missing = set(want) ^ set(params.keys())
-                raise ConfigError(f"parameter names do not match config: {sorted(missing)[:6]}")
-            for spec in conv_specs(config):
-                for name, shape in ((spec.name + ".w", spec.weight_shape), (spec.name + ".b", spec.bias_shape)):
-                    if params[name].shape != shape:
-                        raise ConfigError(f"parameter {name!r} has shape {params[name].shape}, config expects {shape}")
-        self.params = params
-
-    def num_params(self) -> int:
-        return sum(p.numel() for p in self.params.values())
+            params = init_params(config, seed=seed)
+        differ = set(params) ^ set(parameter_names(config))
+        if differ:
+            raise ConfigError(f"parameter names do not match config: {sorted(differ)[:6]}")
+        self.params = {}
+        for spec in conv_specs(config):
+            for name, shape in ((spec.name + ".w", spec.weight_shape), (spec.name + ".b", spec.bias_shape)):
+                if params[name].shape != shape:
+                    raise ConfigError(f"parameter {name!r} has shape {params[name].shape}, config expects {shape}")
+                self.params[name] = params[name]
 
     def _as_input(self, x) -> Tensor:
         if not isinstance(x, Tensor):

@@ -129,7 +129,7 @@ def test_tensor_name_outside_the_config_rejected(tiny_model, tmp_path):
     save_checkpoint(tiny_model, path)
     first = M.parameter_names(tiny_model.config)[0].encode("utf-8")
     path.write_bytes(_with_first_name(path.read_bytes(), first[:-1] + b"z"))
-    with pytest.raises(FormatError, match="tensor names do not match the config"):
+    with pytest.raises(FormatError, match=r"^model\.ckpt: parameter names do not match config"):
         load_checkpoint(path)
 
 
@@ -243,6 +243,14 @@ def test_every_truncation_and_deletion_of_model_text_raises_only_format_error(ti
             pass
 
 
+def test_mutated_checkpoints_load_or_raise_format_error(tmp_path, mutation_sweep):
+    path = tmp_path / "toy.ckpt"
+    save_checkpoint(M.ChangeDetector(M.ModelConfig(1, (1, 1, 1, 1), (0, 0, 0, 0), 1), seed=0), path)
+    blob = path.read_bytes()
+    # the header edits reach the config text and the first tensor's name, dtype, ndim and dims
+    mutation_sweep(blob, path, lambda: load_checkpoint(path), header=_first_dtype_offset(blob) + 1 + 4 + 16)
+
+
 def test_duplicate_embedded_key_rejected(tiny_blob, tmp_path):
     path = tmp_path / "dup.ckpt"
     path.write_bytes(_with_config_text(tiny_blob, (TINY_MODEL_TEXT + "head_hidden=64\n").encode("utf-8")))
@@ -286,7 +294,8 @@ def test_naive_checkpoint_round_trips(tmp_path):
 
 
 def test_float64_model_is_narrowed_on_save(tmp_path):
-    net = M.ChangeDetector(M.preset("nano"), seed=103, dtype=np.float64)
+    config = M.preset("nano")
+    net = M.ChangeDetector(config, params=M.init_params(config, seed=103, dtype=np.float64))
     path = tmp_path / "wide.ckpt"
     save_checkpoint(net, path)
     loaded = load_checkpoint(path)

@@ -476,6 +476,40 @@ def test_ablate_reads_training_values_from_the_config(capsys, monkeypatch, data_
         assert {(t.epochs, t.batch_size, t.seed) for t in trained} == {expected}
 
 
+# One file for every command, as the README's run-config section shows.
+FOUR_SECTION_TEXT = (
+    "[model]\npreset = nano\n\n[train]\nepochs = 1\nbatch_size = 2\n\n"
+    "[data]\nimage_size = 32\ntrain_count = 4\nval_count = 2\ntest_count = 2\n\n[loss]\nalpha1 = 2.0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command,unread",
+    [("synth", "[model] [train] [loss]"), ("train", "[data]"), ("bench", "[train] [data] [loss]"),
+     ("ablate", "[model] [data] [loss]")],
+    ids=["synth", "train", "bench", "ablate"],
+)
+def test_config_echo_names_the_sections_the_command_never_reads(capsys, monkeypatch, data_root, tmp_path,
+                                                                command, unread):
+    import changedet.cli as cli
+
+    if command == "ablate":
+        monkeypatch.setattr(cli, "fit", lambda student, teacher, data, cfg: None)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FOUR_SECTION_TEXT, encoding="utf-8")
+    argv = {
+        "synth": ["--out", tmp_path / "data", "--force", "--size", 32, "--n-train", 1, "--n-val", 1, "--n-test", 1],
+        "train": ["--data", data_root, "--out", tmp_path / "m.ckpt", "--oracle-teacher"],
+        "bench": ["--size", 32, "--runs", 1, "--warmup", 0],
+        "ablate": ["--data", data_root, "--preset", "components", "--model-preset", "nano"],
+    }[command]
+    for flags, want in ((["--config", cfg], [f"# not read: {unread}"]), ([], [])):
+        code, out, _ = run_cli(capsys, command, *argv, *flags)
+        assert code == 0
+        assert [ln for ln in out.splitlines() if ln.startswith("# not read:")] == want
+        echoed_config(out)
+
+
 def test_ablate_needs_test_split(capsys, no_test_root):
     code, _, err = run_cli(
         capsys, "ablate", "--data", no_test_root, "--preset", "components",

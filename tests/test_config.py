@@ -218,6 +218,12 @@ def test_every_truncation_and_deletion_raises_only_config_error():
             pass
 
 
+def test_mutated_config_files_load_or_raise_config_error(tmp_path, mutation_sweep):
+    path = tmp_path / "run.cfg"
+    blob = effective_text(RunConfig()).encode("utf-8")
+    mutation_sweep(blob, path, lambda: load_run_config(path), header=len(blob))
+
+
 def test_readme_example_parses_to_the_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)

@@ -101,6 +101,17 @@ class TestNetpbm:
             save(array, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "save,load,shape",
+        [(netpbm.save_ppm, netpbm.load_ppm, (3, 16, 16)), (netpbm.save_pgm, netpbm.load_pgm, (16, 16))],
+        ids=["ppm", "pgm"],
+    )
+    def test_mutated_images_load_or_raise_format_error(self, tmp_path, mutation_sweep, save, load, shape):
+        path = tmp_path / "img"
+        save(np.random.default_rng(12).uniform(size=shape), path)
+        blob = path.read_bytes()
+        mutation_sweep(blob, path, lambda: load(path), header=len(blob) - int(np.prod(shape)))
+
     def test_comments_in_header_ok(self, tmp_path):
         p = tmp_path / "img.pgm"
         p.write_bytes(b"P5\n# a comment\n2 1\n# more\n255\n\x07\xff")
@@ -216,6 +227,12 @@ class TestGenerateDataset:
         manifest.write_text(f"val_00000\n\n{bad_id}\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"manifest\.txt:3: sample id .* is not a single path component"):
             D.load_index(tmp_path, "val")
+
+    def test_mutated_manifests_load_or_raise_data_error(self, tmp_path, mutation_sweep):
+        manifest = tmp_path / "val" / "manifest.txt"
+        manifest.parent.mkdir()
+        blob = "".join(f"val_{i:05d}\n" for i in range(20)).encode("utf-8")
+        mutation_sweep(blob, manifest, lambda: D.load_index(tmp_path, "val"), header=len(blob))
 
     def test_manifest_rejects_a_repeated_id(self, tmp_path):
         D.generate_synthetic_dataset(small_cfg(), tmp_path)

@@ -17,6 +17,7 @@ from changedet import tensor as T
 from changedet.config import model_text, parse_model_text
 from changedet.errors import ConfigError, NumericError, ShapeError
 from changedet.losses import LossSelection, LossWeights, compute_losses
+from changedet.profiling import param_counts
 from changedet.tensor import Tensor
 
 
@@ -291,11 +292,11 @@ class TestParameterAccounting:
         head = (64 * 144 + 64) + (2 * 64 + 2)
         want = stem + enc1 + enc2 + enc3 + enc4 + head
         net = M.ChangeDetector(M.preset("tiny"), seed=29)
-        assert net.num_params() == want
+        assert param_counts(net.params).total == want
 
     def test_naive_mode_adds_exactly_the_projection(self):
-        emff = M.ChangeDetector(M.preset("tiny"), seed=30).num_params()
-        naive = M.ChangeDetector(M.preset("tiny", fusion_mode="naive"), seed=30).num_params()
+        emff = param_counts(M.ChangeDetector(M.preset("tiny"), seed=30).params).total
+        naive = param_counts(M.ChangeDetector(M.preset("tiny", fusion_mode="naive"), seed=30).params).total
         assert naive - emff == 240 * 144 + 144
 
     def test_init_is_seed_deterministic(self):
@@ -317,6 +318,17 @@ class TestParameterAccounting:
         params.pop("head.fc2.b")
         with pytest.raises(ConfigError):
             M.ChangeDetector(cfg, params=params)
+
+    def test_param_dict_in_any_order_is_held_in_config_order(self):
+        cfg = M.preset("nano")
+        params = M.init_params(cfg, seed=33)
+        backwards = dict(reversed(params.items()))
+        net = M.ChangeDetector(cfg, params=backwards)
+        assert list(net.params) == M.parameter_names(cfg)
+        assert all(net.params[name] is p for name, p in params.items())
+        backwards.pop("head.fc2.b")
+        with pytest.raises(ConfigError, match=re.escape("parameter names do not match config: ['head.fc2.b']")):
+            M.ChangeDetector(cfg, params=backwards)
 
     def test_wrong_param_shape_rejected(self):
         cfg = M.preset("nano")
@@ -465,7 +477,8 @@ class TestSplitForward:
     @pytest.mark.parametrize("fusion_mode", ["emff", "naive"])
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_split_probs_equal_one_forward(self, n, fusion_mode, dtype, split_any_batch):
-        net = M.ChangeDetector(M.preset("tiny", fusion_mode=fusion_mode), seed=40, dtype=dtype)
+        config = M.preset("tiny", fusion_mode=fusion_mode)
+        net = M.ChangeDetector(config, params=M.init_params(config, seed=40, dtype=dtype))
         pre, post = (a.astype(dtype) for a in rand_pair(n=n, seed=41))
         probs = net.predict_probs(pre, post)
         whole = net.forward(pre, post).probs.data

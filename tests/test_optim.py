@@ -236,7 +236,7 @@ class TestArena:
                 np.testing.assert_array_equal(p.data, before[name])
                 assert not p.grad.any()
                 offset += p.numel()
-        assert offset == state.data.size == net.num_params()
+        assert offset == state.data.size == sum(p.numel() for p in net.params.values())
 
     def test_optimizer_keeps_the_arena_and_two_blocks_resident(self):
         # After one step the optimizer holds the four flat buffers and two
@@ -267,7 +267,7 @@ class TestArena:
             resident = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        n = net.num_params()
+        n = sum(p.numel() for p in net.params.values())
         arrays = (4 * n + 2 * min(optim.BLOCK, n)) * 4
         assert arrays <= resident <= arrays + 128 * 1024
 

@@ -26,7 +26,7 @@ class TestParamCounts:
             model = ChangeDetector(preset(name))
             pc = param_counts(model.params)
             assert pc.total == pc.stem + pc.encoder + pc.fusion + pc.head
-            assert pc.total == model.num_params()
+            assert pc.total == sum(p.numel() for p in model.params.values())
 
     def test_parameter_free_fusion_counts_zero(self):
         pc = param_counts(init_params(preset("tiny")))
