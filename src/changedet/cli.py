@@ -3,7 +3,8 @@
 Every command first echoes its effective configuration (all defaults
 resolved) as config-file text with the command arguments as comment lines,
 so a run can be reproduced from its own output.  Exit codes: 0 success,
-1 verification failure, 2 usage or input error, 3 runtime abort.
+1 verification failure, 2 usage or input error, 3 runtime abort (a
+numeric failure, or a model too large for the machine's memory).
 """
 
 from __future__ import annotations
@@ -188,9 +189,9 @@ def _ablation_rows(preset_name: str, model_preset: str):
     if preset_name == "components":
         base = preset(model_preset)
         return [
-            ("naive", replace(base, fusion_mode="naive"), LossWeights(1.0, 0.0, 0.0), LossSelection("ce", "none"), "none"),
-            ("emff", base, LossWeights(1.0, 0.0, 0.0), LossSelection("ce", "none"), "none"),
-            ("emff+bce", base, LossWeights(1.0, 0.5, 0.0), LossSelection("ce", "none"), "none"),
+            ("naive", replace(base, fusion_mode="naive"), LossWeights(1.0, 0.0), LossSelection(), "none"),
+            ("emff", base, LossWeights(1.0, 0.0), LossSelection(), "none"),
+            ("emff+bce", base, LossWeights(1.0, 0.5), LossSelection(), "none"),
             ("emff+bce+mae", base, LossWeights(1.0, 0.5, 1.0), LossSelection("ce", "mae"), "oracle"),
         ]
     if preset_name == "losses":
@@ -334,6 +335,9 @@ def main(argv=None) -> int:
     except (ChangeDetError, OSError) as exc:
         out.line(f"error: {exc}", err=True)
         return exc.exit_code if isinstance(exc, ChangeDetError) else 2
+    except MemoryError as exc:  # a well-formed config that asks for more memory than the machine has
+        out.line(f"error: {exc}", err=True)
+        return 3
     finally:
         out.close()
 

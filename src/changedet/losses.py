@@ -23,7 +23,6 @@ from .errors import ConfigError, DataError, ShapeError
 CLAMP_EPS = 1e-7
 
 GT_LOSSES = ("ce", "soft_miou")
-DISTILL_LOSSES = ("mae", "mse", "kl", "none")
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ class LossSelection:
         if self.gt_loss not in GT_LOSSES:
             raise ConfigError(f"gt_loss must be one of {GT_LOSSES}, got {self.gt_loss!r}")
         if self.distill_loss not in DISTILL_LOSSES:
-            raise ConfigError(f"distill_loss must be one of {DISTILL_LOSSES}, got {self.distill_loss!r}")
+            raise ConfigError(f"distill_loss must be one of {tuple(DISTILL_LOSSES)}, got {self.distill_loss!r}")
 
 
 def _check_gt(gt: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
@@ -154,6 +153,10 @@ def kl_loss(p_s: T.Tensor, p_t) -> T.Tensor:
     )
 
 
+# The distillation terms by name; distillation itself runs only when a teacher is given.
+DISTILL_LOSSES = {"mae": mae_loss, "mse": mse_loss, "kl": kl_loss}
+
+
 def soft_miou_loss(p_s: T.Tensor, gt: np.ndarray) -> T.Tensor:
     """One minus the smoothed soft IoU averaged over the two classes.
 
@@ -193,18 +196,14 @@ def compute_losses(
 
     Returns the total alpha1*gt + alpha2*boundary + alpha3*distill as a
     tensor, plus a plain-float breakdown for logging.
-    teacher_probs may be None, which drops the distillation term regardless
-    of the selection.
+    The distillation term is added exactly when teacher_probs is not None.
     """
     if selection.gt_loss == "ce":
         gt_part = ce_loss(logits, gt)
     else:
         gt_part = soft_miou_loss(probs, gt)
     boundary_part = bce_loss(boundary, gt)
-    distill_part = None
-    if selection.distill_loss != "none" and teacher_probs is not None:
-        fn = {"mae": mae_loss, "mse": mse_loss, "kl": kl_loss}[selection.distill_loss]
-        distill_part = fn(probs, teacher_probs)
+    distill_part = None if teacher_probs is None else DISTILL_LOSSES[selection.distill_loss](probs, teacher_probs)
     total = T.add(T.scale(gt_part, weights.alpha1), T.scale(boundary_part, weights.alpha2))
     if distill_part is not None:
         total = T.add(total, T.scale(distill_part, weights.alpha3))

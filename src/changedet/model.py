@@ -15,9 +15,11 @@ parameters.  The naive baseline mode concatenates everything and pays for a
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import queue
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,49 +99,42 @@ class ConvSpec:
     padding: int = 0
 
     @property
-    def weight_shape(self) -> tuple[int, int, int, int]:
-        return (self.c_out, self.c_in_per_group, self.kernel, self.kernel)
-
-    @property
-    def bias_shape(self) -> tuple[int, int, int, int]:
-        return (1, self.c_out, 1, 1)
+    def params(self) -> tuple[tuple[str, tuple[int, int, int, int]], ...]:
+        """The layer's (name, shape) pairs: its weight, then its bias."""
+        return (
+            (self.name + ".w", (self.c_out, self.c_in_per_group, self.kernel, self.kernel)),
+            (self.name + ".b", (1, self.c_out, 1, 1)),
+        )
 
     @property
     def param_count(self) -> int:
         return self.c_out * self.c_in_per_group * self.kernel * self.kernel + self.c_out
 
 
-def conv_specs(config: ModelConfig) -> list[ConvSpec]:
+def conv_specs(config: ModelConfig) -> Iterator[ConvSpec]:
     """Every conv layer of the model, in creation order."""
     sc = config.stem_channels
     w = config.encoder_widths
-    specs = [
-        ConvSpec("stem.pre", sc, 3, 3, stride=2, padding=1),
-        ConvSpec("stem.post", sc, 3, 3, stride=2, padding=1),
-        ConvSpec("stem.dw1", 2 * sc, 1, 3, groups=2 * sc, padding=1),
-        ConvSpec("stem.pw", w[0], 2 * sc, 1),
-        ConvSpec("stem.dw2", w[0], 1, 3, groups=w[0], padding=1),
-    ]
+    yield ConvSpec("stem.pre", sc, 3, 3, stride=2, padding=1)
+    yield ConvSpec("stem.post", sc, 3, 3, stride=2, padding=1)
+    yield ConvSpec("stem.dw1", 2 * sc, 1, 3, groups=2 * sc, padding=1)
+    yield ConvSpec("stem.pw", w[0], 2 * sc, 1)
+    yield ConvSpec("stem.dw2", w[0], 1, 3, groups=w[0], padding=1)
     c_prev = w[0]
     for i in range(4):
-        specs.append(ConvSpec(f"enc{i + 1}.down", w[i], c_prev, 3, stride=2, padding=1))
+        yield ConvSpec(f"enc{i + 1}.down", w[i], c_prev, 3, stride=2, padding=1)
         for j in range(config.encoder_depths[i]):
-            specs.append(ConvSpec(f"enc{i + 1}.res{j + 1}.conv1", w[i], w[i], 3, padding=1))
-            specs.append(ConvSpec(f"enc{i + 1}.res{j + 1}.conv2", w[i], w[i], 3, padding=1))
+            yield ConvSpec(f"enc{i + 1}.res{j + 1}.conv1", w[i], w[i], 3, padding=1)
+            yield ConvSpec(f"enc{i + 1}.res{j + 1}.conv2", w[i], w[i], 3, padding=1)
         c_prev = w[i]
     if config.fusion_mode == "naive":
-        specs.append(ConvSpec("fuse.proj", w[0] + w[3], sum(w), 1))
-    specs.append(ConvSpec("head.fc1", config.head_hidden, w[0] + w[3], 1))
-    specs.append(ConvSpec("head.fc2", 2, config.head_hidden, 1))
-    return specs
+        yield ConvSpec("fuse.proj", w[0] + w[3], sum(w), 1)
+    yield ConvSpec("head.fc1", config.head_hidden, w[0] + w[3], 1)
+    yield ConvSpec("head.fc2", 2, config.head_hidden, 1)
 
 
 def parameter_names(config: ModelConfig) -> list[str]:
-    names = []
-    for spec in conv_specs(config):
-        names.append(spec.name + ".w")
-        names.append(spec.name + ".b")
-    return names
+    return [name for spec in conv_specs(config) for name, _ in spec.params]
 
 
 def fusion_parameter_names(config: ModelConfig) -> list[str]:
@@ -152,14 +147,9 @@ def init_params(config: ModelConfig, seed: int = 0, dtype=REAL32) -> dict[str, T
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     for spec in conv_specs(config):
-        fan_in = spec.c_in_per_group * spec.kernel * spec.kernel
-        bound = float(np.sqrt(1.0 / fan_in))
-        params[spec.name + ".w"] = Tensor(
-            rng.uniform(-bound, bound, spec.weight_shape).astype(dtype)
-        )
-        params[spec.name + ".b"] = Tensor(
-            rng.uniform(-bound, bound, spec.bias_shape).astype(dtype)
-        )
+        bound = float(np.sqrt(1.0 / (spec.c_in_per_group * spec.kernel * spec.kernel)))
+        for name, shape in spec.params:
+            params[name] = Tensor(rng.uniform(-bound, bound, shape).astype(dtype))
     return params
 
 
@@ -208,14 +198,8 @@ def _spec_map(config: ModelConfig) -> dict[str, ConvSpec]:
 
 
 def _conv(params: dict[str, Tensor], spec: ConvSpec, x: Tensor) -> Tensor:
-    return T.conv2d(
-        x,
-        params[spec.name + ".w"],
-        params[spec.name + ".b"],
-        stride=spec.stride,
-        padding=spec.padding,
-        groups=spec.groups,
-    )
+    (w, _), (b, _) = spec.params
+    return T.conv2d(x, params[w], params[b], stride=spec.stride, padding=spec.padding, groups=spec.groups)
 
 
 def stem_forward(params: dict[str, Tensor], config: ModelConfig, pre: Tensor, post: Tensor) -> Tensor:
@@ -319,15 +303,18 @@ class ChangeDetector:
         self.config = config
         if params is None:
             params = init_params(config, seed=seed)
-        differ = set(params) ^ set(parameter_names(config))
+        # One walk of the layers, stopped one layer past what `params` could match:
+        # a config that names more layers is rejected without walking them all.
+        layers = itertools.islice(conv_specs(config), len(params) // 2 + 1)
+        expected = [pair for spec in layers for pair in spec.params]
+        differ = set(params) ^ {name for name, _ in expected}
         if differ:
             raise ConfigError(f"parameter names do not match config: {sorted(differ)[:6]}")
         self.params = {}
-        for spec in conv_specs(config):
-            for name, shape in ((spec.name + ".w", spec.weight_shape), (spec.name + ".b", spec.bias_shape)):
-                if params[name].shape != shape:
-                    raise ConfigError(f"parameter {name!r} has shape {params[name].shape}, config expects {shape}")
-                self.params[name] = params[name]
+        for name, shape in expected:
+            if params[name].shape != shape:
+                raise ConfigError(f"parameter {name!r} has shape {params[name].shape}, config expects {shape}")
+            self.params[name] = params[name]
 
     def _as_input(self, x) -> Tensor:
         if not isinstance(x, Tensor):

@@ -195,8 +195,8 @@ class ModelTeacher:
 
 
 def make_teacher(config: TrainConfig):
-    """The configured teacher, or None when there is none or no distillation loss would read it."""
-    if config.teacher_mode == "none" or config.selection.distill_loss == "none":
+    """The configured teacher, or None when teacher_mode is 'none'."""
+    if config.teacher_mode == "none":
         return None
     if config.teacher_mode == "oracle":
         return OracleTeacher()
@@ -268,9 +268,7 @@ def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=No
         batches = batch_iter(train_index, config.batch_size, seed=config.seed, shuffle=True, epoch=epoch)
         for batch_idx, (pre, post, mask, _ids) in enumerate(batches):
             pre, post, mask = _augment_batch(pre, post, mask, aug_rng, config.augment)
-            teacher_probs = None
-            if teacher is not None and config.selection.distill_loss != "none":
-                teacher_probs = teacher.predict(pre, post, mask)
+            teacher_probs = None if teacher is None else teacher.predict(pre, post, mask)
             try:
                 with Tape() as tape:
                     out = student.forward(pre, post)

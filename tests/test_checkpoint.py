@@ -2,6 +2,8 @@
 
 import re
 import struct
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +267,29 @@ def test_tensor_shape_contradicting_embedded_config_rejected(tiny_blob, tmp_path
     want = "narrow.ckpt: parameter 'head.fc1.w' has shape (64, 144, 1, 1), config expects (6, 144, 1, 1)"
     with pytest.raises(FormatError, match=re.escape(want)):
         load_checkpoint(path)
+
+
+def test_config_naming_far_more_layers_than_the_file_holds_is_rejected_early(tmp_path):
+    # The load stops walking the config's layers once they outnumber the file's tensors.
+    path = tmp_path / "deep.ckpt"
+    save_checkpoint(M.ChangeDetector(M.ModelConfig(1, (1, 1, 1, 1), (0, 0, 0, 0), 1)), path)
+    blob = path.read_bytes()
+    text = blob[12 : 12 + struct.unpack("<I", blob[8:12])[0]]
+    deep = text.replace(b"encoder_depths=0,0,0,0\n", b"encoder_depths=0,0,0,100000\n")
+    assert deep != text
+    path.write_bytes(_with_config_text(blob, deep))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        start = time.perf_counter()
+        with pytest.raises(FormatError, match="parameter names do not match config"):
+            load_checkpoint(path)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * path.stat().st_size + 64 * 1024, f"peak {peak} B"
+    assert elapsed < 1.0
 
 
 def test_cli_eval_on_one_value_input_size_exits_2(tiny_blob, tmp_path, capsys):

@@ -685,6 +685,15 @@ def test_malformed_input_exits_2_with_one_error_line(capsys, tmp_path, make_argv
     assert "Traceback" not in err
 
 
+def test_model_too_large_for_memory_exits_3_with_one_error_line(capsys, tmp_path):
+    # 2**40 stem channels: numpy refuses the 216 TiB weight before it touches memory
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("[model]\npreset = nano\nstem_channels = 1099511627776\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "bench", "--config", cfg, "--size", 64, "--runs", 1, "--warmup", 0)
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("error: Unable to allocate")
+
+
 # ---------------------------------------------------------------------------
 # output log mirroring
 

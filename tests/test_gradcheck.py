@@ -93,12 +93,13 @@ NETWORK_STEP = 1e-7
 NETWORK_BOUND = 1e-4
 
 
-@pytest.mark.parametrize("distill_loss", DISTILL_LOSSES)
+# distill_loss None is training without a teacher: no distillation term.
+@pytest.mark.parametrize("distill_loss", [*DISTILL_LOSSES, pytest.param(None, id="none")])
 @pytest.mark.parametrize("gt_loss", GT_LOSSES)
 @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
 def test_whole_network_directional_derivative_matches_central_difference(fusion_mode, gt_loss, distill_loss):
     config = M.preset("nano", input_size=(32, 32), fusion_mode=fusion_mode)
-    selection = LossSelection(gt_loss=gt_loss, distill_loss=distill_loss)
+    selection = LossSelection(gt_loss=gt_loss, distill_loss=distill_loss or "mae")
     worst = 0.0
     for seed in (0, 1):
         rng = np.random.default_rng(seed)
@@ -106,7 +107,7 @@ def test_whole_network_directional_derivative_matches_central_difference(fusion_
         pre, post = rng.uniform(0.0, 1.0, (2, 2, 3, 32, 32))
         gt = (rng.uniform(size=(2, 1, 32, 32)) > 0.6).astype(np.float64)
         change = rng.uniform(0.05, 0.95, (2, 1, 32, 32))
-        teacher = np.concatenate([1.0 - change, change], axis=1)
+        teacher = None if distill_loss is None else np.concatenate([1.0 - change, change], axis=1)
         with T.Tape() as tape:
             loss = _network_loss(config, params, pre, post, gt, teacher, selection)
         tape.backward(loss)

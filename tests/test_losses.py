@@ -238,12 +238,11 @@ class TestTotalLoss:
         assert total.item() == pytest.approx(1.5 * np.log(2.0) + 0.2, rel=1e-12)
         assert parts["total"] == total.item()
 
-    def test_alpha3_zero_equals_none_selection(self):
+    def test_alpha3_zero_equals_no_teacher(self):
         logits = np.random.default_rng(61).normal(size=(1, 2, 4, 4))
         a = self._total(L.LossWeights(1.0, 0.5, 0.0), L.LossSelection("ce", "mae"), logits)[0].item()
-        b = self._total(L.LossWeights(1.0, 0.5, 1.0), L.LossSelection("ce", "none"), logits)[0].item()
         c = self._total(L.LossWeights(1.0, 0.5, 1.0), L.LossSelection("ce", "mae"), logits, teacher=False)[0].item()
-        assert a == b == c
+        assert a == c
 
     def test_all_zero_parts_give_zero(self):
         # Zero weights make every weighted part zero.
@@ -271,6 +270,11 @@ class TestTotalLoss:
             L.LossSelection(gt_loss="dice")
         with pytest.raises(ConfigError):
             L.LossSelection(distill_loss="cosine")
+
+    def test_none_is_not_a_distillation_loss(self):
+        # distillation is switched off by having no teacher, not by a loss name
+        with pytest.raises(ConfigError, match=r"one of \('mae', 'mse', 'kl'\), got 'none'"):
+            L.LossSelection(distill_loss="none")
 
 
 class TestComputeLosses:

@@ -312,6 +312,24 @@ class TestParameterAccounting:
         bound = (1.0 / 144) ** 0.5
         assert np.abs(w).max() <= bound
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fusion_mode", M.FUSION_MODES)
+    @pytest.mark.parametrize("name", sorted(M.PRESETS))
+    def test_init_draws_in_a_straight_loop_order(self, name, fusion_mode, dtype):
+        # one generator; per layer in conv_specs order, the weight then the bias, each U(+-sqrt(1/fan_in))
+        config = M.preset(name, fusion_mode=fusion_mode)
+        rng = np.random.default_rng(34)
+        want = {}
+        for s in M.conv_specs(config):
+            bound = float(np.sqrt(1.0 / (s.c_in_per_group * s.kernel * s.kernel)))
+            want[s.name + ".w"] = rng.uniform(-bound, bound, (s.c_out, s.c_in_per_group, s.kernel, s.kernel))
+            want[s.name + ".b"] = rng.uniform(-bound, bound, (1, s.c_out, 1, 1))
+        got = M.init_params(config, seed=34, dtype=dtype)
+        assert list(got) == list(want)
+        for key, values in want.items():
+            assert got[key].data.dtype == dtype
+            assert got[key].data.tobytes() == values.astype(dtype).tobytes(), key
+
     def test_wrong_param_names_rejected(self):
         cfg = M.preset("nano")
         params = M.init_params(cfg, seed=32)

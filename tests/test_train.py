@@ -4,7 +4,6 @@ import io
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -200,12 +199,6 @@ class TestTrainConfig:
         with pytest.raises(DataError):
             make_teacher(cfg)
 
-    def test_no_teacher_is_loaded_without_a_distillation_loss(self, tmp_path):
-        cfg = TrainConfig(teacher_mode="checkpoint", teacher_checkpoint=str(tmp_path / "missing.ckpt"),
-                          selection=LossSelection(distill_loss="none"))
-        assert make_teacher(cfg) is None
-        assert make_teacher(replace(cfg, teacher_mode="oracle", teacher_checkpoint=None)) is None
-
 
 @pytest.fixture(scope="module")
 def train_root(tmp_path_factory):
@@ -232,8 +225,7 @@ def _checkpoint_bytes(model, tmp_path, tag):
 class TestFit:
     def test_supervised_only_runs_and_logs(self, train_root):
         model = ChangeDetector(preset("nano", input_size=(32, 32)), seed=0)
-        cfg = TrainConfig(batch_size=4, epochs=2, seed=0, augment=NO_AUG,
-                          selection=LossSelection(distill_loss="none"))
+        cfg = TrainConfig(batch_size=4, epochs=2, seed=0, augment=NO_AUG)
         result = fit(model, None, train_root, cfg)
         assert len(result.logs) == 2
         assert all(entry.distill == 0.0 for entry in result.logs)
@@ -293,7 +285,7 @@ class TestFit:
         assert all(not p.requires_grad for p in teacher_model.params.values())
         assert all(p.grad is None for p in teacher_model.params.values())
 
-    @pytest.mark.parametrize("distill_loss,calls", [("none", 0), ("mae", 2)])
+    @pytest.mark.parametrize("distill_loss,calls", [("mae", 2)])
     def test_teacher_is_called_only_when_distilling(self, train_root, distill_loss, calls):
         class CountingTeacher(OracleTeacher):
             calls = 0
@@ -341,8 +333,7 @@ class TestFit:
         generate_synthetic_dataset(data, tmp_path)
         student = ChangeDetector(preset("nano", input_size=(32, 32)), seed=2)
         cfg = TrainConfig(batch_size=4, base_lr=5e-3, weight_decay=0.0, epochs=200, seed=2,
-                          augment=NO_AUG, weights=LossWeights(1.0, 0.0, 0.0),
-                          selection=LossSelection(distill_loss="none"))
+                          augment=NO_AUG, weights=LossWeights(1.0, 0.0, 0.0))
         result = fit(student, None, tmp_path, cfg)
         first, last = result.logs[0].train_loss, result.logs[-1].train_loss
         assert last <= 0.1 * first
