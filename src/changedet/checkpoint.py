@@ -3,13 +3,12 @@
 Little-endian layout:
 
     magic  b"EOCD"
-    u32    format version (currently 1)
+    u32    format version (currently 2)
     u32    config byte length, then UTF-8 key=value config text
     u32    tensor count
     per tensor:
         u32  name byte length, then UTF-8 name
-        u8   dtype code (0 = 32-bit real)
-        u32  ndim, then u32 dims[ndim]
+        u32  dims[4]
         raw  values, 4 bytes each
 
 Values are stored as 32-bit reals; a model held in 64-bit verification mode
@@ -32,8 +31,7 @@ from .model import ChangeDetector
 from .tensor import REAL32, Tensor
 
 MAGIC = b"EOCD"
-VERSION = 1
-DTYPE_REAL32 = 0
+VERSION = 2
 
 
 def save_checkpoint(model: ChangeDetector, path) -> None:
@@ -45,9 +43,7 @@ def save_checkpoint(model: ChangeDetector, path) -> None:
         name_bytes = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(name_bytes)))
         chunks.append(name_bytes)
-        chunks.append(struct.pack("<B", DTYPE_REAL32))
-        chunks.append(struct.pack("<I", data.ndim))
-        chunks.append(struct.pack(f"<{data.ndim}I", *data.shape))
+        chunks.append(struct.pack("<4I", *data.shape))
         chunks.append(data.tobytes())
     write_atomic(path, b"".join(chunks))
 
@@ -71,9 +67,6 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
 
 def load_checkpoint(path) -> ChangeDetector:
     """Rebuild a model from a checkpoint file."""
@@ -95,13 +88,7 @@ def load_checkpoint(path) -> ChangeDetector:
             name = r.take(r.u32()).decode("utf-8")
         except UnicodeDecodeError as e:
             raise FormatError(f"{path.name}: tensor name is not UTF-8: {e}")
-        dtype_code = r.u8()
-        if dtype_code != DTYPE_REAL32:
-            raise FormatError(f"{path.name}: unknown dtype code {dtype_code} for tensor {name!r}")
-        ndim = r.u32()
-        if ndim != 4:
-            raise FormatError(f"{path.name}: tensor {name!r} has ndim {ndim}, expected 4")
-        dims = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
+        dims = struct.unpack("<4I", r.take(16))
         n_bytes = 4 * math.prod(dims)
         if n_bytes > len(r.buf) - r.pos:
             raise FormatError(

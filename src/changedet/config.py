@@ -136,8 +136,6 @@ def parse_run_config(text: str) -> RunConfig:
         if section == "model" and "preset" in items:
             base = RunConfig(model=preset(items.pop("preset")))
         values.update(_collect(section, items))
-    if len(values.get(("model", "input_size"), ())) == 1:  # one value means a square
-        values[("model", "input_size")] *= 2
     return _build(base, (), values)
 
 

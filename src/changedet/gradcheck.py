@@ -214,7 +214,7 @@ def _build_fuse_multiscale(rng):
 
 
 def _build_student(rng):
-    config = M.preset("nano", input_size=(32, 32))
+    config = M.preset("nano")
     params = M.init_params(config, seed=int(rng.integers(0, 2**31)), dtype=REAL64)
     arrays = {name: p.data.copy() for name, p in params.items()}
     arrays["pre"] = rng.uniform(0.0, 1.0, size=(1, 3, 32, 32))

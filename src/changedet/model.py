@@ -37,13 +37,11 @@ class ModelConfig:
     encoder_widths: tuple[int, int, int, int] = (16, 32, 64, 128)
     encoder_depths: tuple[int, int, int, int] = (1, 1, 2, 1)
     head_hidden: int = 64
-    input_size: tuple[int, int] = (64, 64)
     fusion_mode: str = "emff"
 
     def __post_init__(self):
         object.__setattr__(self, "encoder_widths", tuple(int(v) for v in self.encoder_widths))
         object.__setattr__(self, "encoder_depths", tuple(int(v) for v in self.encoder_depths))
-        object.__setattr__(self, "input_size", tuple(int(v) for v in self.input_size))
         w = self.encoder_widths
         d = self.encoder_depths
         if len(w) != 4 or len(d) != 4:
@@ -62,11 +60,6 @@ class ModelConfig:
             raise ConfigError(f"stem_channels must be >= 1, got {self.stem_channels}")
         if self.head_hidden < 1:
             raise ConfigError(f"head_hidden must be >= 1, got {self.head_hidden}")
-        if len(self.input_size) != 2:
-            raise ConfigError(f"input_size needs 2 values (height, width), got {self.input_size}")
-        h, ww = self.input_size
-        if h < 32 or ww < 32 or h % 32 or ww % 32:
-            raise ConfigError(f"input_size must be multiples of 32 (and >= 32), got {self.input_size}")
         if self.fusion_mode not in FUSION_MODES:
             raise ConfigError(f"fusion_mode must be one of {FUSION_MODES}, got {self.fusion_mode!r}")
 
@@ -329,8 +322,8 @@ class ChangeDetector:
         pre = self._as_input(pre)
         post = self._as_input(post)
         n, c, h, w = pre.shape
-        if h % 32 or w % 32:
-            raise ShapeError(f"input H and W must be multiples of 32, got {h}x{w}")
+        if h < 32 or w < 32 or h % 32 or w % 32:
+            raise ShapeError(f"input H and W must be positive multiples of 32, got {h}x{w}")
         with T.stage("stem"):
             f = stem_forward(self.params, self.config, pre, post)
         with T.stage("encoder"):

@@ -39,7 +39,10 @@ def _read_header(buf: bytes, magic: bytes, path: Path) -> tuple[int, int, int]:
             start = pos
             while pos < len(buf) and buf[pos : pos + 1].isdigit():
                 pos += 1
-            fields.append(int(buf[start:pos]))
+            try:
+                fields.append(int(buf[start:pos]))
+            except ValueError:  # past Python's int-string digit limit
+                raise FormatError(f"{path.name}: header number of {pos - start} digits is too long")
         else:
             raise FormatError(f"{path.name}: unexpected byte {c!r} in header")
     if pos >= len(buf) or not buf[pos : pos + 1].isspace():

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import platform
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class ParamCount:
 
 @dataclass(frozen=True)
 class FlopReport:
-    """Forward FLOPs for one image pair at the stated input size."""
+    """Forward FLOPs for one image pair at the size `count_flops` was given."""
 
     total: int
     stem: int
@@ -51,7 +51,6 @@ class FlopReport:
     fusion: int
     head: int
     by_op: dict[str, int]
-    input_size: tuple[int, int]
 
 
 def param_counts(params: dict[str, Tensor]) -> ParamCount:
@@ -65,15 +64,21 @@ def param_counts(params: dict[str, Tensor]) -> ParamCount:
     return ParamCount(total=sum(buckets.values()), **buckets)
 
 
-def count_flops(config: ModelConfig, input_size: tuple[int, int] | None = None) -> FlopReport:
+def _batch_of_one(size: tuple[int, int]) -> tuple[int, int, int, int]:
+    """The (1, 3, H, W) shape of one image of `size` (H, W), which must be positive multiples of 32."""
+    h, w = size
+    if h < 32 or w < 32 or h % 32 or w % 32:
+        raise ConfigError(f"input size must be positive multiples of 32, got {h}x{w}")
+    return (1, 3, h, w)
+
+
+def count_flops(config: ModelConfig, input_size: tuple[int, int]) -> FlopReport:
     """FLOPs of one forward pass of a fresh seed-0 model on zero images, split by stage."""
-    if input_size is not None:
-        config = replace(config, input_size=input_size)
-    zeros = np.zeros((1, 3, *config.input_size), dtype=REAL32)
+    zeros = np.zeros(_batch_of_one(input_size), dtype=REAL32)
     with FlopCounter() as counter:
         ChangeDetector(config).forward(zeros, zeros)
     stages = {name: counter.by_stage[name] for name in ("stem", "encoder", "fusion", "head")}
-    return FlopReport(total=counter.total, by_op=counter.by_op, input_size=config.input_size, **stages)
+    return FlopReport(total=counter.total, by_op=counter.by_op, **stages)
 
 
 def environment_info() -> dict[str, str]:
@@ -101,7 +106,7 @@ def environment_info() -> dict[str, str]:
 
 def measure_latency(
     model: ChangeDetector,
-    input_size: tuple[int, int] | None = None,
+    input_size: tuple[int, int],
     warmups: int = 5,
     runs: int = 50,
 ) -> list[float]:
@@ -110,10 +115,10 @@ def measure_latency(
         raise ConfigError(f"runs must be >= 1, got {runs}")
     if warmups < 0:
         raise ConfigError(f"warmups must be >= 0, got {warmups}")
-    h, w = input_size if input_size is not None else model.config.input_size
+    shape = _batch_of_one(input_size)
     rng = np.random.default_rng(0)
-    pre = rng.random((1, 3, h, w), dtype=np.float32)
-    post = rng.random((1, 3, h, w), dtype=np.float32)
+    pre = rng.random(shape, dtype=np.float32)
+    post = rng.random(shape, dtype=np.float32)
     for _ in range(warmups):
         model.forward(pre, post)
     samples = []

@@ -1,10 +1,11 @@
 """Distillation training: frozen teacher, AdamW, linear LR decay, augmentation.
 
 The teacher (a larger trained model, or a deterministic smoothed-ground-truth
-stand-in) predicts outside any gradient tape, and only when a distillation
-loss is selected; only the student's parameters ever receive gradients.  The whole run is a pure function of (seed, config,
-dataset): batch order, augmentation draws, and parameter updates all derive
-from the config seed.
+stand-in) predicts outside any gradient tape; a run has a distillation term
+exactly when it has a teacher, and only the student's parameters ever receive
+gradients.  The whole run is a pure function of (seed, config, dataset):
+batch order, augmentation draws, and parameter updates all derive from the
+config seed.
 """
 
 from __future__ import annotations

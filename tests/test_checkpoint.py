@@ -66,11 +66,11 @@ def test_bad_magic_rejected(tiny_model, tmp_path):
 def test_unsupported_version_rejected(tiny_model, tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(tiny_model, path)
-    blob = bytearray(path.read_bytes())
-    blob[4:8] = struct.pack("<I", VERSION + 9)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError):
-        load_checkpoint(path)
+    blob = path.read_bytes()
+    for version in (1, VERSION + 9):
+        path.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+        with pytest.raises(FormatError, match=rf"^model\.ckpt: unsupported format version {version}, expected {VERSION}$"):
+            load_checkpoint(path)
 
 
 def test_trailing_garbage_rejected(tiny_model, tmp_path):
@@ -86,15 +86,15 @@ def _first_tensor_offset(blob: bytes) -> int:
     return 16 + cfg_len  # magic, version, config length, config, tensor count
 
 
-def _first_dtype_offset(blob: bytes) -> int:
+def _first_dims_offset(blob: bytes) -> int:
     at = _first_tensor_offset(blob)
     return at + 4 + struct.unpack("<I", blob[at : at + 4])[0]  # past the name length and name
 
 
 def _with_first_dims(blob: bytes, dims) -> bytes:
-    """blob with the first tensor's dims header replaced (same ndim)."""
-    dims_at = _first_dtype_offset(blob) + 1 + 4
-    return blob[:dims_at] + struct.pack(f"<{len(dims)}I", *dims) + blob[dims_at + 4 * len(dims) :]
+    """blob with the first tensor's four dims replaced."""
+    dims_at = _first_dims_offset(blob)
+    return blob[:dims_at] + struct.pack("<4I", *dims) + blob[dims_at + 16 :]
 
 
 def _with_first_name(blob: bytes, name: bytes) -> bytes:
@@ -112,7 +112,7 @@ def test_dims_whose_product_overflows_rejected(tiny_model, tmp_path):
     for dims in ((65536,) * 4, (2**32 - 1, 2**32 - 1, 1, 1), (1, 1, 1, 2**30)):
         bad = tmp_path / "dims.ckpt"
         bad.write_bytes(_with_first_dims(blob, dims))
-        with pytest.raises(FormatError, match="needs"):
+        with pytest.raises(FormatError, match=re.escape(f"'stem.pre.w' of shape {dims} needs")):
             load_checkpoint(bad)
 
 
@@ -132,26 +132,6 @@ def test_tensor_name_outside_the_config_rejected(tiny_model, tmp_path):
     first = M.parameter_names(tiny_model.config)[0].encode("utf-8")
     path.write_bytes(_with_first_name(path.read_bytes(), first[:-1] + b"z"))
     with pytest.raises(FormatError, match=r"^model\.ckpt: parameter names do not match config"):
-        load_checkpoint(path)
-
-
-def test_unknown_dtype_code_rejected(tiny_model, tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(tiny_model, path)
-    blob = path.read_bytes()
-    at = _first_dtype_offset(blob)
-    path.write_bytes(blob[:at] + b"\x07" + blob[at + 1 :])
-    with pytest.raises(FormatError, match="unknown dtype code 7 for tensor 'stem.pre.w'"):
-        load_checkpoint(path)
-
-
-def test_tensor_of_rank_other_than_4_rejected(tiny_model, tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(tiny_model, path)
-    blob = path.read_bytes()
-    at = _first_dtype_offset(blob) + 1
-    path.write_bytes(blob[:at] + struct.pack("<I", 3) + blob[at + 4 :])
-    with pytest.raises(FormatError, match="tensor 'stem.pre.w' has ndim 3, expected 4"):
         load_checkpoint(path)
 
 
@@ -212,7 +192,7 @@ def test_header_layout_is_the_documented_one(tiny_model, tmp_path):
 
 TINY_MODEL_TEXT = (
     "stem_channels=8\nencoder_widths=16,32,64,128\nencoder_depths=1,1,2,1\n"
-    "head_hidden=64\ninput_size=64,64\nfusion_mode=emff\n"
+    "head_hidden=64\nfusion_mode=emff\n"
 )
 
 
@@ -249,8 +229,8 @@ def test_mutated_checkpoints_load_or_raise_format_error(tmp_path, mutation_sweep
     path = tmp_path / "toy.ckpt"
     save_checkpoint(M.ChangeDetector(M.ModelConfig(1, (1, 1, 1, 1), (0, 0, 0, 0), 1), seed=0), path)
     blob = path.read_bytes()
-    # the header edits reach the config text and the first tensor's name, dtype, ndim and dims
-    mutation_sweep(blob, path, lambda: load_checkpoint(path), header=_first_dtype_offset(blob) + 1 + 4 + 16)
+    # the header edits reach the config text and the first tensor's name and dims
+    mutation_sweep(blob, path, lambda: load_checkpoint(path), header=_first_dims_offset(blob) + 16)
 
 
 def test_duplicate_embedded_key_rejected(tiny_blob, tmp_path):
@@ -292,14 +272,13 @@ def test_config_naming_far_more_layers_than_the_file_holds_is_rejected_early(tmp
     assert elapsed < 1.0
 
 
-def test_cli_eval_on_one_value_input_size_exits_2(tiny_blob, tmp_path, capsys):
-    path = tmp_path / "square.ckpt"
-    path.write_bytes(_with_config_text(tiny_blob, TINY_MODEL_TEXT.replace("input_size=64,64", "input_size=96").encode("utf-8")))
+def test_cli_eval_on_format_1_checkpoint_exits_2(tiny_blob, tmp_path, capsys):
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(tiny_blob[:4] + struct.pack("<I", 1) + tiny_blob[8:])
     code = main(["eval", "--ckpt", str(path), "--data", str(tmp_path / "no_data")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: square.ckpt: bad embedded config:")
-    assert "input_size needs 2 values" in err
+    assert err == f"error: old.ckpt: unsupported format version 1, expected {VERSION}\n"
 
 
 def test_fusion_modes_have_different_name_sets(tmp_path):

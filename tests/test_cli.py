@@ -392,12 +392,13 @@ def test_bench_from_config(capsys, tmp_path):
     assert "\nparams total = 125906\n" in out
 
 
-def test_bench_config_with_three_value_input_size_exits_2(capsys, tmp_path):
+def test_bench_config_naming_input_size_exits_2(capsys, tmp_path):
+    # bench --size alone sets the measured size; the model config has no such key
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("[model]\npreset = nano\ninput_size = 96,96,96\n", encoding="utf-8")
+    cfg.write_text("[model]\npreset = nano\ninput_size = 96\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "bench", "--config", cfg, "--size", 32, "--runs", 1, "--warmup", 0)
     assert code == 2
-    assert err.startswith("error: input_size needs 2 values")
+    assert err == "error: unknown keys in [model]: ['input_size']\n"
 
 
 def test_bench_rejects_bad_size(capsys):
@@ -646,6 +647,12 @@ def _eval_truncated_checkpoint(tmp_path):
     return ["eval", "--ckpt", ckpt, "--data", tmp_path]
 
 
+def _predict_5000_digit_width(tmp_path):
+    pre = tmp_path / "wide.ppm"
+    pre.write_bytes(b"P6\n" + b"9" * 5000 + b" 32\n255\n")
+    return _predict_argv(tmp_path, pre=pre)
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
@@ -663,10 +670,13 @@ def _eval_truncated_checkpoint(tmp_path):
         _predict_nan_checkpoint,
         lambda tmp_path: _predict_argv(tmp_path, pre=tmp_path / "no.ppm"),
         lambda tmp_path: _predict_argv(tmp_path, post=tmp_path),
+        _predict_5000_digit_width,
         lambda tmp_path: ["train", "--config", tmp_path / "no.cfg", "--data", tmp_path, "--out", tmp_path / "m.ckpt"],
         lambda tmp_path: ["bench", "--config", tmp_path, "--size", 32, "--runs", 1, "--warmup", 0],
         lambda tmp_path: ["eval", "--ckpt", _nano_checkpoint(tmp_path), "--data", tmp_path],
         _eval_truncated_checkpoint,
+        lambda tmp_path: ["bench", "--preset", "nano", "--size", 0, "--runs", 1, "--warmup", 0],
+        lambda tmp_path: ["bench", "--preset", "nano", "--size", -32, "--runs", 1, "--warmup", 0],
     ],
     ids=[
         "gradcheck-zero-instances", "gradcheck-negative-instances", "gradcheck-negative-seed",
@@ -674,8 +684,9 @@ def _eval_truncated_checkpoint(tmp_path):
         "eval-mixed-image-sizes", "manifest-id-outside-root", "manifest-duplicate-id",
         "manifest-nul-id",
         "eval-nan-checkpoint", "predict-nan-checkpoint",
-        "predict-missing-pre", "predict-directory-post", "train-missing-config",
+        "predict-missing-pre", "predict-directory-post", "predict-5000-digit-width", "train-missing-config",
         "bench-config-directory", "eval-no-manifest", "eval-truncated-checkpoint",
+        "bench-size-0", "bench-size-minus-32",
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(capsys, tmp_path, make_argv):

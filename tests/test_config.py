@@ -28,7 +28,7 @@ def test_customised_config_round_trips():
     # Every section away from its defaults, including the optional
     # teacher_checkpoint line that is only rendered when set.
     rc = RunConfig(
-        model=replace(preset("nano"), fusion_mode="naive", input_size=(96, 96)),
+        model=replace(preset("nano"), fusion_mode="naive"),
         train=TrainConfig(
             batch_size=2,
             base_lr=3e-3,
@@ -78,7 +78,6 @@ stem_channels = 8
 encoder_widths = 16,32,64,128
 encoder_depths = 1,1,2,1
 head_hidden = 64
-input_size = 64,64
 fusion_mode = emff
 
 [train]
@@ -141,7 +140,6 @@ AWAY = {
     ("model", "encoder_widths"): "8,16,32,64",
     ("model", "encoder_depths"): "0,1,2,3",
     ("model", "head_hidden"): "32",
-    ("model", "input_size"): "96,64",
     ("model", "fusion_mode"): "naive",
     ("train", "batch_size"): "3",
     ("train", "base_lr"): "0.001",
@@ -313,18 +311,8 @@ def test_model_preset_with_override():
     assert rc.model == replace(preset("nano"), head_hidden=48)
 
 
-def test_input_size_needs_one_or_two_values():
-    with pytest.raises(ConfigError, match="input_size needs 2 values"):
-        parse_run_config("[model]\ninput_size = 96,96,96\n")
-
-
-def test_single_input_size_becomes_square():
-    rc = parse_run_config("[model]\npreset = nano\ninput_size = 96\n")
-    assert rc.model.input_size == (96, 96)
-
-
 def test_int_tuple_tolerates_spaces():
-    rc = parse_run_config("[model]\nencoder_widths = 8, 16, 32, 64\nencoder_depths = 1,1,1,1\nstem_channels = 4\nhead_hidden = 32\ninput_size = 32\n")
+    rc = parse_run_config("[model]\nencoder_widths = 8, 16, 32, 64\nencoder_depths = 1,1,1,1\nstem_channels = 4\nhead_hidden = 32\n")
     assert rc.model.encoder_widths == (8, 16, 32, 64)
 
 

@@ -78,8 +78,9 @@ class TestNetpbm:
             (b"P5\n2 x1\n255\n\x00\x00", r"unexpected byte b'x' in header"),
             (b"P5\n2 1\n255", "missing whitespace after maxval"),
             (b"P5\n0 1\n255\n", "bad dimensions 0x1"),
+            (b"P5\n" + b"9" * 5000 + b" 1\n255\n", "header number of 5000 digits is too long"),
         ],
-        ids=["ends-early", "unexpected-byte", "no-whitespace-after-maxval", "zero-width"],
+        ids=["ends-early", "unexpected-byte", "no-whitespace-after-maxval", "zero-width", "5000-digit-width"],
     )
     def test_malformed_header_rejected(self, tmp_path, blob, message):
         p = tmp_path / "img.pgm"

@@ -98,7 +98,7 @@ NETWORK_BOUND = 1e-4
 @pytest.mark.parametrize("gt_loss", GT_LOSSES)
 @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
 def test_whole_network_directional_derivative_matches_central_difference(fusion_mode, gt_loss, distill_loss):
-    config = M.preset("nano", input_size=(32, 32), fusion_mode=fusion_mode)
+    config = M.preset("nano", fusion_mode=fusion_mode)
     selection = LossSelection(gt_loss=gt_loss, distill_loss=distill_loss or "mae")
     worst = 0.0
     for seed in (0, 1):

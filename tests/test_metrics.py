@@ -127,7 +127,7 @@ def tiny_dataset(tmp_path_factory):
 
 class TestEvaluate:
     def test_covers_every_pixel_and_repeats_exactly(self, tiny_dataset):
-        model = ChangeDetector(preset("nano", input_size=(32, 32)), seed=1)
+        model = ChangeDetector(preset("nano"), seed=1)
         index = load_index(tiny_dataset, "test")
         first = evaluate(model, index, batch_size=4)
         second = evaluate(model, index, batch_size=3)
@@ -136,13 +136,13 @@ class TestEvaluate:
 
     def test_empty_split_rejected(self, tiny_dataset):
         index = DatasetIndex(root=tiny_dataset, split="test", ids=[])
-        model = ChangeDetector(preset("nano", input_size=(32, 32)), seed=1)
+        model = ChangeDetector(preset("nano"), seed=1)
         with pytest.raises(DataError):
             evaluate(model, index)
 
     def test_split_counts_equal_a_serial_loop_over_images(self, tiny_dataset, monkeypatch):
         monkeypatch.setattr("changedet.model.SPLIT_MIN_PIXELS", 1)
-        model = ChangeDetector(preset("nano", input_size=(32, 32)), seed=2)
+        model = ChangeDetector(preset("nano"), seed=2)
         index = load_index(tiny_dataset, "test")
         serial = ConfusionCounts()
         for pre, post, mask, _ids in batch_iter(index, 1):
@@ -152,7 +152,7 @@ class TestEvaluate:
     def test_split_nan_in_the_worker_half_names_its_stage(self, tiny_dataset, monkeypatch):
         # predict_probs hands the first N // 2 images to one of its two worker threads.
         monkeypatch.setattr("changedet.model.SPLIT_MIN_PIXELS", 1)
-        model = ChangeDetector(preset("nano", input_size=(32, 32)), seed=3)
+        model = ChangeDetector(preset("nano"), seed=3)
         index = load_index(tiny_dataset, "test")
         before = evaluate(model, index, batch_size=4)
 

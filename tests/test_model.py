@@ -8,6 +8,7 @@ import sys
 import threading
 import traceback
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -49,15 +50,28 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             M.ModelConfig(encoder_widths=(16, 24, 64, 128))
 
-    def test_input_size_multiple_of_32(self):
-        with pytest.raises(ConfigError):
-            M.ModelConfig(input_size=(48, 64))
-        with pytest.raises(ConfigError):
-            M.ModelConfig(input_size=(0, 0))
-
     def test_fusion_mode_enum(self):
         with pytest.raises(ConfigError):
             M.ModelConfig(fusion_mode="bilinear")
+
+    # One valid value away from the default per field.  A field missing here
+    # fails the test below: every field must change the layers it builds.
+    AWAY = {
+        "stem_channels": 4,
+        "encoder_widths": (8, 16, 32, 64),
+        "encoder_depths": (1, 1, 1, 1),
+        "head_hidden": 32,
+        "fusion_mode": "naive",
+    }
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(M.ModelConfig)])
+    def test_every_field_shapes_the_model(self, field):
+        assert field in self.AWAY, f"no away value for {field!r}"
+
+        def layers(config):
+            return [pair for spec in M.conv_specs(config) for pair in spec.params]
+
+        assert layers(M.ModelConfig(**{field: self.AWAY[field]})) != layers(M.ModelConfig())
 
     @pytest.mark.parametrize(
         "field,value,message",
@@ -73,7 +87,7 @@ class TestModelConfig:
             M.ModelConfig(**{field: value})
 
     def test_text_round_trip(self):
-        cfg = M.preset("tiny", fusion_mode="naive", input_size=(96, 64))
+        cfg = M.preset("tiny", fusion_mode="naive")
         assert parse_model_text(model_text(cfg)) == cfg
 
     def test_from_text_rejects_unknown_key(self):
@@ -269,9 +283,10 @@ class TestHeadAndFullForward:
 
     def test_input_size_must_be_divisible(self):
         net = M.ChangeDetector(M.preset("nano"), seed=26)
-        bad = np.zeros((1, 3, 48, 48), np.float32)
-        with pytest.raises(ShapeError):
-            net.forward(bad, bad)
+        for h, w in ((48, 48), (0, 0)):
+            bad = np.zeros((1, 3, h, w), np.float32)
+            with pytest.raises(ShapeError, match=f"positive multiples of 32, got {h}x{w}$"):
+                net.forward(bad, bad)
 
     def test_forward_works_off_config_size(self):
         # input size is a property of the batch, not baked into the weights

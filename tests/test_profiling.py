@@ -68,29 +68,25 @@ class TestCountFlops:
         assert sum(r.by_op.values()) == r.total
         assert r.total > 0
 
-    def test_input_size_defaults_to_the_config(self):
-        config = preset("nano", input_size=(64, 32))
-        assert count_flops(config).input_size == config.input_size == (64, 32)
-
     def test_matches_flops_of_an_actual_forward(self):
-        config = preset("nano", input_size=(32, 32))
+        config = preset("nano")
         model = ChangeDetector(config, seed=3)
         rng = np.random.default_rng(0)
         pre = rng.random((1, 3, 32, 32), dtype=np.float32)
         post = rng.random((1, 3, 32, 32), dtype=np.float32)
         with FlopCounter() as fc:
             model.forward(pre, post)
-        assert fc.total == count_flops(config).total
+        assert fc.total == count_flops(config, (32, 32)).total
 
     @pytest.mark.parametrize("mode", ["emff", "naive"])
     def test_stages_match_the_stage_labels_of_an_actual_forward(self, mode):
-        config = preset("nano", input_size=(32, 32), fusion_mode=mode)
+        config = preset("nano", fusion_mode=mode)
         rng = np.random.default_rng(1)
         pre = rng.random((1, 3, 32, 32), dtype=np.float32)
         post = rng.random((1, 3, 32, 32), dtype=np.float32)
         with FlopCounter() as fc:
             ChangeDetector(config, seed=4).forward(pre, post)
-        r = count_flops(config)
+        r = count_flops(config, (32, 32))
         assert fc.by_stage == {"stem": r.stem, "encoder": r.encoder, "fusion": r.fusion, "head": r.head}
         assert fc.by_op == r.by_op
 
@@ -117,13 +113,13 @@ class TestCountFlops:
 
 class TestMeasureLatency:
     def test_single_run_reports_its_only_sample(self):
-        model = ChangeDetector(preset("nano", input_size=(32, 32)))
-        samples = measure_latency(model, warmups=0, runs=1)
+        model = ChangeDetector(preset("nano"))
+        samples = measure_latency(model, (32, 32), warmups=0, runs=1)
         assert len(samples) == 1 and samples[0] > 0
 
     def test_one_positive_sample_per_run(self):
-        model = ChangeDetector(preset("nano", input_size=(32, 32)))
-        samples = measure_latency(model, warmups=1, runs=3)
+        model = ChangeDetector(preset("nano"))
+        samples = measure_latency(model, (32, 32), warmups=1, runs=3)
         assert len(samples) == 3
         assert all(s > 0 for s in samples)
 
@@ -135,8 +131,8 @@ class TestMeasureLatency:
         assert env["cpu_affinity"] == str(len(os.sched_getaffinity(0)))
 
     def test_invalid_run_counts_rejected(self):
-        model = ChangeDetector(preset("nano", input_size=(32, 32)))
+        model = ChangeDetector(preset("nano"))
         with pytest.raises(ConfigError):
-            measure_latency(model, runs=0)
+            measure_latency(model, (32, 32), runs=0)
         with pytest.raises(ConfigError):
-            measure_latency(model, warmups=-1)
+            measure_latency(model, (32, 32), warmups=-1)

@@ -224,7 +224,7 @@ def _checkpoint_bytes(model, tmp_path, tag):
 
 class TestFit:
     def test_supervised_only_runs_and_logs(self, train_root):
-        model = ChangeDetector(preset("nano", input_size=(32, 32)), seed=0)
+        model = ChangeDetector(preset("nano"), seed=0)
         cfg = TrainConfig(batch_size=4, epochs=2, seed=0, augment=NO_AUG)
         result = fit(model, None, train_root, cfg)
         assert len(result.logs) == 2
@@ -233,7 +233,7 @@ class TestFit:
         assert result.logs[1].lr < result.logs[0].lr
 
     def test_best_weights_reproduce_best_val_iou(self, train_root):
-        model = ChangeDetector(preset("nano", input_size=(32, 32)), seed=1)
+        model = ChangeDetector(preset("nano"), seed=1)
         cfg = TrainConfig(batch_size=4, epochs=3, seed=1, augment=NO_AUG, teacher_mode="oracle")
         result = fit(model, make_teacher(cfg), train_root, cfg)
         assert result.best_val_iou == max(entry.val_iou for entry in result.logs)
@@ -248,7 +248,7 @@ class TestFit:
         ious = iter((0.5, 0.9, 0.1))
         monkeypatch.setattr(train, "evaluate",
                             lambda *args: MetricsReport(iou=next(ious), f1=0.0, oa=0.0, counts=ConfusionCounts()))
-        model = ChangeDetector(preset("nano", input_size=(32, 32)), seed=2)
+        model = ChangeDetector(preset("nano"), seed=2)
         cfg = TrainConfig(batch_size=4, epochs=3, seed=2, augment=NO_AUG, teacher_mode="oracle")
         snapshots = []
         arrays = {}
@@ -267,7 +267,7 @@ class TestFit:
     def test_two_runs_are_bit_identical(self, train_root, tmp_path):
         outs = []
         for run in range(2):
-            model = ChangeDetector(preset("nano", input_size=(32, 32)), seed=7)
+            model = ChangeDetector(preset("nano"), seed=7)
             cfg = TrainConfig(batch_size=4, epochs=2, seed=7, teacher_mode="oracle")
             result = fit(model, make_teacher(cfg), train_root, cfg)
             outs.append((result.log_text(), _checkpoint_bytes(result.model, tmp_path, f"run{run}")))
@@ -275,10 +275,10 @@ class TestFit:
         assert outs[0][1] == outs[1][1]
 
     def test_teacher_parameters_never_move(self, train_root):
-        teacher_model = ChangeDetector(preset("nano", input_size=(32, 32)), seed=3)
+        teacher_model = ChangeDetector(preset("nano"), seed=3)
         teacher = ModelTeacher(teacher_model)
         before = _params_digest(teacher_model)
-        student = ChangeDetector(preset("nano", input_size=(32, 32)), seed=4)
+        student = ChangeDetector(preset("nano"), seed=4)
         cfg = TrainConfig(batch_size=4, epochs=1, seed=3, augment=NO_AUG)
         fit(student, teacher, train_root, cfg)
         assert _params_digest(teacher_model) == before
@@ -295,21 +295,21 @@ class TestFit:
                 return super().predict(pre, post, gt)
 
         teacher = CountingTeacher()
-        student = ChangeDetector(preset("nano", input_size=(32, 32)), seed=8)
+        student = ChangeDetector(preset("nano"), seed=8)
         cfg = TrainConfig(batch_size=4, epochs=1, seed=8, augment=NO_AUG,
                           selection=LossSelection(distill_loss=distill_loss))
         fit(student, teacher, train_root, cfg)
         assert teacher.calls == calls  # 6 train pairs at batch 4: two steps
 
     def test_student_actually_changes(self, train_root):
-        student = ChangeDetector(preset("nano", input_size=(32, 32)), seed=5)
+        student = ChangeDetector(preset("nano"), seed=5)
         before = _params_digest(student)
         cfg = TrainConfig(batch_size=4, epochs=1, seed=5, augment=NO_AUG)
         fit(student, None, train_root, cfg)
         assert _params_digest(student) != before
 
     def test_nan_loss_aborts_with_context(self, train_root):
-        student = ChangeDetector(preset("nano", input_size=(32, 32)), seed=6)
+        student = ChangeDetector(preset("nano"), seed=6)
         for p in student.params.values():
             p.data[:] = 1e30
         cfg = TrainConfig(batch_size=4, epochs=1, seed=6, augment=NO_AUG)
@@ -321,7 +321,7 @@ class TestFit:
     def test_empty_split_rejected(self, tmp_path):
         cfg = SynthConfig(image_size=32, train_count=2, val_count=0, test_count=0, seed=1)
         generate_synthetic_dataset(cfg, tmp_path)
-        student = ChangeDetector(preset("nano", input_size=(32, 32)), seed=0)
+        student = ChangeDetector(preset("nano"), seed=0)
         with pytest.raises(DataError):
             fit(student, None, tmp_path, TrainConfig(epochs=1))
 
@@ -331,7 +331,7 @@ class TestFit:
         data = SynthConfig(image_size=32, train_count=4, val_count=2, test_count=0,
                            seed=5, shape_min=1, shape_max=1)
         generate_synthetic_dataset(data, tmp_path)
-        student = ChangeDetector(preset("nano", input_size=(32, 32)), seed=2)
+        student = ChangeDetector(preset("nano"), seed=2)
         cfg = TrainConfig(batch_size=4, base_lr=5e-3, weight_decay=0.0, epochs=200, seed=2,
                           augment=NO_AUG, weights=LossWeights(1.0, 0.0, 0.0))
         result = fit(student, None, tmp_path, cfg)
