@@ -3,8 +3,8 @@
 Little-endian layout:
 
     magic  b"EOCD"
-    u32    format version (currently 2)
-    u32    config byte length, then UTF-8 key=value config text
+    u32    format version (currently 3)
+    u32    config byte length, then the UTF-8 [model] block commands echo
     u32    tensor count
     per tensor:
         u32  name byte length, then UTF-8 name
@@ -13,7 +13,8 @@ Little-endian layout:
 
 Values are stored as 32-bit reals; a model held in 64-bit verification mode
 is narrowed on save.  Loading rebuilds the model from the embedded config,
-so a checkpoint is self-contained; a non-finite value is a format error.
+which must be byte-equal to the block its values render to; a non-finite
+value is a format error.
 """
 
 from __future__ import annotations
@@ -24,18 +25,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import model_text, parse_model_text
+from .config import RunConfig, effective_text, parse_run_config
 from .errors import ConfigError, FormatError
 from .fileio import read_input, write_atomic
 from .model import ChangeDetector
 from .tensor import REAL32, Tensor
 
 MAGIC = b"EOCD"
-VERSION = 2
+VERSION = 3
 
 
 def save_checkpoint(model: ChangeDetector, path) -> None:
-    config_bytes = model_text(model.config).encode("utf-8")
+    config_bytes = effective_text(RunConfig(model=model.config), ("model",)).encode("utf-8")
     chunks = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(config_bytes)), config_bytes]
     chunks.append(struct.pack("<I", len(model.params)))
     for name, p in model.params.items():
@@ -78,7 +79,10 @@ def load_checkpoint(path) -> ChangeDetector:
     if version != VERSION:
         raise FormatError(f"{path.name}: unsupported format version {version}, expected {VERSION}")
     try:
-        config = parse_model_text(r.take(r.u32()).decode("utf-8"))
+        text = r.take(r.u32()).decode("utf-8")
+        config = parse_run_config(text).model
+        if effective_text(RunConfig(model=config), ("model",)) != text:
+            raise ConfigError("not the [model] block its values render to")
     except (ConfigError, UnicodeDecodeError) as e:
         raise FormatError(f"{path.name}: bad embedded config: {e}")
     count = r.u32()

@@ -6,9 +6,9 @@ cannot silently fall back to a default.  `effective_text` renders a config
 back to file syntax with every default resolved; parsing that text
 reproduces the config exactly, which is what makes the echoed header of
 each command sufficient to rerun it.  The config dataclasses are the
-schema: the key table `SCHEMA` is derived from their fields, and run-config
-parsing, the rendered text and the model text embedded in checkpoints all
-read it.
+schema: the key table `SCHEMA` is derived from their fields, and parsing
+and rendering both read it.  A checkpoint embeds its [model] block as this
+same text and reads it with `parse_run_config`, so there is one grammar.
 """
 
 from __future__ import annotations
@@ -124,10 +124,11 @@ def parse_run_config(text: str) -> RunConfig:
     # a header must end its line, or "[train] epochs = 3" would drop the key.
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",), default_section="")
     parser.SECTCRE = re.compile(r"\[(?P<header>.+)\]$")
+    parser.optionxform = str  # keys are case-sensitive, like sections
     try:
         parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"bad config file: {exc}")
+    except configparser.Error as exc:  # its message spans lines; an error is one line
+        raise ConfigError(f"bad config file: {' '.join(str(exc).split())}")
     base, values = RunConfig(), {}
     for section in parser.sections():
         if section not in SCHEMA:
@@ -146,7 +147,7 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}")
 
 
-def _lines(config: RunConfig, section: str, delimiter: str):
+def _lines(config: RunConfig, section: str):
     for key, path in SCHEMA[section]:
         value = _get(config, path)
         if isinstance(value, bool):
@@ -154,31 +155,9 @@ def _lines(config: RunConfig, section: str, delimiter: str):
         elif isinstance(value, tuple):
             value = ",".join(map(str, value))
         if value is not None:
-            yield f"{key}{delimiter}{value}"
+            yield f"{key} = {value}"
 
 
 def effective_text(config: RunConfig, sections: tuple[str, ...] = tuple(SCHEMA)) -> str:
     """Render `sections` with every default resolved; parses back to an equal config."""
-    return "\n\n".join("\n".join([f"[{s}]", *_lines(config, s, " = ")]) for s in sections) + "\n"
-
-
-def model_text(config: ModelConfig) -> str:
-    """The config a checkpoint embeds: the [model] keys as key=value lines."""
-    return "".join(line + "\n" for line in _lines(RunConfig(model=config), "model", "="))
-
-
-def parse_model_text(text: str) -> ModelConfig:
-    """Inverse of `model_text`; a missing key takes its default."""
-    items = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        key, delimiter, raw = line.partition("=")
-        key = key.strip()
-        if not delimiter:
-            raise ConfigError(f"model config line {lineno}: expected key=value, got {line!r}")
-        if key in items:
-            raise ConfigError(f"model config line {lineno}: duplicate key {key!r}")
-        items[key] = raw.strip()
-    return _build(ModelConfig(), ("model",), _collect("model", items))
+    return "\n\n".join("\n".join([f"[{s}]", *_lines(config, s)]) for s in sections) + "\n"

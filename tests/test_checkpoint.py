@@ -11,7 +11,7 @@ import pytest
 from changedet import model as M
 from changedet.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from changedet.cli import main
-from changedet.config import parse_model_text
+from changedet.config import RunConfig, effective_text, parse_run_config
 from changedet.errors import DataError, FormatError
 
 
@@ -67,7 +67,7 @@ def test_unsupported_version_rejected(tiny_model, tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(tiny_model, path)
     blob = path.read_bytes()
-    for version in (1, VERSION + 9):
+    for version in (1, 2, VERSION + 9):
         path.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
         with pytest.raises(FormatError, match=rf"^model\.ckpt: unsupported format version {version}, expected {VERSION}$"):
             load_checkpoint(path)
@@ -185,14 +185,14 @@ def test_header_layout_is_the_documented_one(tiny_model, tmp_path):
     assert struct.unpack("<I", blob[4:8])[0] == VERSION
     cfg_len = struct.unpack("<I", blob[8:12])[0]
     cfg_text = blob[12 : 12 + cfg_len].decode("utf-8")
-    assert parse_model_text(cfg_text) == tiny_model.config
+    assert parse_run_config(cfg_text).model == tiny_model.config
     count = struct.unpack("<I", blob[12 + cfg_len : 16 + cfg_len])[0]
     assert count == len(M.parameter_names(tiny_model.config))
 
 
 TINY_MODEL_TEXT = (
-    "stem_channels=8\nencoder_widths=16,32,64,128\nencoder_depths=1,1,2,1\n"
-    "head_hidden=64\nfusion_mode=emff\n"
+    "[model]\nstem_channels = 8\nencoder_widths = 16,32,64,128\nencoder_depths = 1,1,2,1\n"
+    "head_hidden = 64\nfusion_mode = emff\n"
 )
 
 
@@ -211,6 +211,45 @@ def tiny_blob(tmp_path_factory):
 def test_embedded_model_text_is_pinned(tiny_blob):
     cfg_len = struct.unpack("<I", tiny_blob[8:12])[0]
     assert tiny_blob[12 : 12 + cfg_len].decode("utf-8") == TINY_MODEL_TEXT
+
+
+@pytest.mark.parametrize("name", sorted(M.PRESETS))
+@pytest.mark.parametrize("fusion_mode", M.FUSION_MODES)
+def test_embedded_text_is_the_echoed_model_block(tmp_path, name, fusion_mode):
+    config = M.preset(name, fusion_mode=fusion_mode)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(M.ChangeDetector(config, seed=0), path)
+    blob = path.read_bytes()
+    cfg_len = struct.unpack("<I", blob[8:12])[0]
+    assert blob[12 : 12 + cfg_len].decode("utf-8") == effective_text(RunConfig(model=config), ("model",))
+
+
+# Spellings of TINY_MODEL_TEXT other than the one its values render to; a config file may accept some.
+NON_CANONICAL = {
+    "preset-line": lambda t: t.replace("[model]\n", "[model]\npreset = tiny\n"),
+    "comment": lambda t: "# tiny\n" + t,
+    "reordered-keys": lambda t: t.replace("head_hidden = 64\nfusion_mode = emff\n", "fusion_mode = emff\nhead_hidden = 64\n"),
+    "missing-default-key": lambda t: t.replace("fusion_mode = emff\n", ""),
+    "extra-section": lambda t: t + "\n[train]\nepochs = 1\n",
+    "trailing-blank-line": lambda t: t + "\n",
+    "blank-line-after-header": lambda t: t.replace("[model]\n", "[model]\n\n"),
+    "upper-case-key": lambda t: t.replace("head_hidden", "HEAD_HIDDEN"),
+    "upper-case-section": lambda t: t.replace("[model]", "[MODEL]"),
+    "upper-case-value": lambda t: t.replace("emff", "EMFF"),
+    "no-spaces-around-equals": lambda t: t.replace(" = ", "="),
+    "space-after-comma": lambda t: t.replace("16,32", "16, 32"),
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("variant", NON_CANONICAL)
+def test_only_the_canonical_config_text_loads(tiny_blob, tmp_path, variant):
+    text = NON_CANONICAL[variant](TINY_MODEL_TEXT)
+    assert text != TINY_MODEL_TEXT
+    path = tmp_path / "variant.ckpt"
+    path.write_bytes(_with_config_text(tiny_blob, text.encode("utf-8")))
+    with pytest.raises(FormatError, match=r"^variant\.ckpt: bad embedded config: "):
+        load_checkpoint(path)
 
 
 def test_every_truncation_and_deletion_of_model_text_raises_only_format_error(tiny_blob, tmp_path):
@@ -235,14 +274,14 @@ def test_mutated_checkpoints_load_or_raise_format_error(tmp_path, mutation_sweep
 
 def test_duplicate_embedded_key_rejected(tiny_blob, tmp_path):
     path = tmp_path / "dup.ckpt"
-    path.write_bytes(_with_config_text(tiny_blob, (TINY_MODEL_TEXT + "head_hidden=64\n").encode("utf-8")))
-    with pytest.raises(FormatError, match="duplicate key 'head_hidden'"):
+    path.write_bytes(_with_config_text(tiny_blob, (TINY_MODEL_TEXT + "head_hidden = 64\n").encode("utf-8")))
+    with pytest.raises(FormatError, match="option 'head_hidden' in section 'model' already exists"):
         load_checkpoint(path)
 
 
 def test_tensor_shape_contradicting_embedded_config_rejected(tiny_blob, tmp_path):
     path = tmp_path / "narrow.ckpt"
-    text = TINY_MODEL_TEXT.replace("head_hidden=64\n", "head_hidden=6\n\n")  # same length
+    text = TINY_MODEL_TEXT.replace("head_hidden = 64\n", "head_hidden = 6\n")
     path.write_bytes(_with_config_text(tiny_blob, text.encode("utf-8")))
     want = "narrow.ckpt: parameter 'head.fc1.w' has shape (64, 144, 1, 1), config expects (6, 144, 1, 1)"
     with pytest.raises(FormatError, match=re.escape(want)):
@@ -255,7 +294,7 @@ def test_config_naming_far_more_layers_than_the_file_holds_is_rejected_early(tmp
     save_checkpoint(M.ChangeDetector(M.ModelConfig(1, (1, 1, 1, 1), (0, 0, 0, 0), 1)), path)
     blob = path.read_bytes()
     text = blob[12 : 12 + struct.unpack("<I", blob[8:12])[0]]
-    deep = text.replace(b"encoder_depths=0,0,0,0\n", b"encoder_depths=0,0,0,100000\n")
+    deep = text.replace(b"encoder_depths = 0,0,0,0\n", b"encoder_depths = 0,0,0,100000\n")
     assert deep != text
     path.write_bytes(_with_config_text(blob, deep))
     tracemalloc.start()

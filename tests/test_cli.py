@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import re
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -246,6 +247,14 @@ def test_eval_reports_metrics(capsys, nano_run):
     assert "split = test (2 samples)" in out
     for key in ("iou = ", "f1 = ", "oa = ", "counts: tp=", "degenerate = "):
         assert key in out
+
+
+def test_eval_echoes_exactly_the_model_block_its_checkpoint_embeds(capsys, nano_run):
+    code, out, _ = run_cli(capsys, "eval", "--ckpt", nano_run.ckpt, "--data", nano_run.data)
+    assert code == 0
+    block = out[out.index("[model]\n") : out.index("# end config\n")]
+    blob = nano_run.ckpt.read_bytes()
+    assert blob[12 : 12 + struct.unpack("<I", blob[8:12])[0]] == block.encode("utf-8")
 
 
 def test_eval_twice_identical(capsys, nano_run):
@@ -647,6 +656,23 @@ def _eval_truncated_checkpoint(tmp_path):
     return ["eval", "--ckpt", ckpt, "--data", tmp_path]
 
 
+def _bench_config(text):
+    def make_argv(tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        return ["bench", "--config", cfg, "--size", 64, "--runs", 1, "--warmup", 0]
+    return make_argv
+
+
+def _eval_checkpoint_config_without_section(tmp_path):
+    ckpt = _nano_checkpoint(tmp_path)
+    blob = ckpt.read_bytes()
+    cfg_len = struct.unpack("<I", blob[8:12])[0]
+    text = blob[12 : 12 + cfg_len].replace(b"[model]\n", b"")
+    ckpt.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + cfg_len :])
+    return ["eval", "--ckpt", ckpt, "--data", tmp_path]
+
+
 def _predict_5000_digit_width(tmp_path):
     pre = tmp_path / "wide.ppm"
     pre.write_bytes(b"P6\n" + b"9" * 5000 + b" 32\n255\n")
@@ -675,6 +701,9 @@ def _predict_5000_digit_width(tmp_path):
         lambda tmp_path: ["bench", "--config", tmp_path, "--size", 32, "--runs", 1, "--warmup", 0],
         lambda tmp_path: ["eval", "--ckpt", _nano_checkpoint(tmp_path), "--data", tmp_path],
         _eval_truncated_checkpoint,
+        _eval_checkpoint_config_without_section,
+        _bench_config("epochs = 3\n"),
+        _bench_config("[train]\nepochs 3\n"),
         lambda tmp_path: ["bench", "--preset", "nano", "--size", 0, "--runs", 1, "--warmup", 0],
         lambda tmp_path: ["bench", "--preset", "nano", "--size", -32, "--runs", 1, "--warmup", 0],
     ],
@@ -686,6 +715,7 @@ def _predict_5000_digit_width(tmp_path):
         "eval-nan-checkpoint", "predict-nan-checkpoint",
         "predict-missing-pre", "predict-directory-post", "predict-5000-digit-width", "train-missing-config",
         "bench-config-directory", "eval-no-manifest", "eval-truncated-checkpoint",
+        "eval-checkpoint-config-without-section", "config-key-before-section", "config-line-without-equals",
         "bench-size-0", "bench-size-minus-32",
     ],
 )

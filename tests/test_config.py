@@ -256,6 +256,11 @@ def test_section_names_are_case_sensitive():
         parse_run_config("[TRAIN]\nepochs = 2\n")
 
 
+def test_keys_are_case_sensitive():
+    with pytest.raises(ConfigError, match=re.escape("unknown keys in [train]: ['EPOCHS']")):
+        parse_run_config("[train]\nEPOCHS = 3\n")
+
+
 def test_bad_integer_names_section_and_key():
     with pytest.raises(ConfigError, match=r"\[train\] batch_size: expected an integer"):
         parse_run_config("[train]\nbatch_size = eight\n")

@@ -15,7 +15,6 @@ import pytest
 
 from changedet import model as M
 from changedet import tensor as T
-from changedet.config import model_text, parse_model_text
 from changedet.errors import ConfigError, NumericError, ShapeError
 from changedet.losses import LossSelection, LossWeights, compute_losses
 from changedet.profiling import param_counts
@@ -85,14 +84,6 @@ class TestModelConfig:
     def test_field_below_its_floor_rejected(self, field, value, message):
         with pytest.raises(ConfigError, match=message):
             M.ModelConfig(**{field: value})
-
-    def test_text_round_trip(self):
-        cfg = M.preset("tiny", fusion_mode="naive")
-        assert parse_model_text(model_text(cfg)) == cfg
-
-    def test_from_text_rejects_unknown_key(self):
-        with pytest.raises(ConfigError):
-            parse_model_text("stem_channels=8\ndropout=0.5\n")
 
     def test_preset_unknown_name(self):
         with pytest.raises(ConfigError):
