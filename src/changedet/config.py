@@ -92,6 +92,8 @@ def _to_int_tuple(section: str, key: str, raw: str) -> tuple[int, ...]:
 
 
 def _to_str(section: str, key: str, raw: str) -> str:
+    if "\n" in raw:  # configparser joins an indented next line onto the value
+        raise ConfigError(f"[{section}] {key}: a value must fit on one line")
     return raw.strip()
 
 
@@ -128,7 +130,7 @@ def parse_run_config(text: str) -> RunConfig:
     try:
         parser.read_string(text)
     except configparser.Error as exc:  # its message spans lines; an error is one line
-        raise ConfigError(f"bad config file: {' '.join(str(exc).split())}")
+        raise ConfigError(" ".join(str(exc).split()))
     base, values = RunConfig(), {}
     for section in parser.sections():
         if section not in SCHEMA:

@@ -15,7 +15,6 @@ parameters.  The naive baseline mode concatenates everything and pays for a
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 import queue
 import threading
@@ -296,10 +295,7 @@ class ChangeDetector:
         self.config = config
         if params is None:
             params = init_params(config, seed=seed)
-        # One walk of the layers, stopped one layer past what `params` could match:
-        # a config that names more layers is rejected without walking them all.
-        layers = itertools.islice(conv_specs(config), len(params) // 2 + 1)
-        expected = [pair for spec in layers for pair in spec.params]
+        expected = [pair for spec in conv_specs(config) for pair in spec.params]
         differ = set(params) ^ {name for name, _ in expected}
         if differ:
             raise ConfigError(f"parameter names do not match config: {sorted(differ)[:6]}")

@@ -13,6 +13,8 @@ from changedet.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoin
 from changedet.cli import main
 from changedet.config import RunConfig, effective_text, parse_run_config
 from changedet.errors import DataError, FormatError
+from changedet.optim import init_state
+from changedet.profiling import param_counts
 
 
 @pytest.fixture
@@ -67,7 +69,7 @@ def test_unsupported_version_rejected(tiny_model, tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(tiny_model, path)
     blob = path.read_bytes()
-    for version in (1, 2, VERSION + 9):
+    for version in (1, 2, 3, VERSION + 9):
         path.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
         with pytest.raises(FormatError, match=rf"^model\.ckpt: unsupported format version {version}, expected {VERSION}$"):
             load_checkpoint(path)
@@ -81,70 +83,22 @@ def test_trailing_garbage_rejected(tiny_model, tmp_path):
         load_checkpoint(path)
 
 
-def _first_tensor_offset(blob: bytes) -> int:
-    cfg_len = struct.unpack("<I", blob[8:12])[0]
-    return 16 + cfg_len  # magic, version, config length, config, tensor count
-
-
-def _first_dims_offset(blob: bytes) -> int:
-    at = _first_tensor_offset(blob)
-    return at + 4 + struct.unpack("<I", blob[at : at + 4])[0]  # past the name length and name
-
-
-def _with_first_dims(blob: bytes, dims) -> bytes:
-    """blob with the first tensor's four dims replaced."""
-    dims_at = _first_dims_offset(blob)
-    return blob[:dims_at] + struct.pack("<4I", *dims) + blob[dims_at + 16 :]
-
-
-def _with_first_name(blob: bytes, name: bytes) -> bytes:
-    at = _first_tensor_offset(blob)
-    name_len = struct.unpack("<I", blob[at : at + 4])[0]
-    assert len(name) == name_len
-    return blob[: at + 4] + name + blob[at + 4 + name_len :]
-
-
-def test_dims_whose_product_overflows_rejected(tiny_model, tmp_path):
-    # 65536**4 wraps to 0 in 64-bit integers; the size must still be refused.
+def test_config_whose_parameters_outgrow_the_file_rejected(tiny_model, tmp_path):
+    # The values are read from where the config says they are; a wider head runs past the
+    # end, and 2**40 hidden units (a 288 TiB weight) are refused before anything is allocated.
     path = tmp_path / "model.ckpt"
     save_checkpoint(tiny_model, path)
     blob = path.read_bytes()
-    for dims in ((65536,) * 4, (2**32 - 1, 2**32 - 1, 1, 1), (1, 1, 1, 2**30)):
-        bad = tmp_path / "dims.ckpt"
-        bad.write_bytes(_with_first_dims(blob, dims))
-        with pytest.raises(FormatError, match=re.escape(f"'stem.pre.w' of shape {dims} needs")):
-            load_checkpoint(bad)
-
-
-def test_non_utf8_tensor_name_rejected(tiny_model, tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(tiny_model, path)
-    blob = path.read_bytes()
-    name_len = len(M.parameter_names(tiny_model.config)[0].encode("utf-8"))
-    path.write_bytes(_with_first_name(blob, b"\xff" * name_len))
-    with pytest.raises(FormatError, match="UTF-8"):
-        load_checkpoint(path)
-
-
-def test_tensor_name_outside_the_config_rejected(tiny_model, tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(tiny_model, path)
-    first = M.parameter_names(tiny_model.config)[0].encode("utf-8")
-    path.write_bytes(_with_first_name(path.read_bytes(), first[:-1] + b"z"))
-    with pytest.raises(FormatError, match=r"^model\.ckpt: parameter names do not match config"):
-        load_checkpoint(path)
-
-
-def test_duplicate_tensor_name_rejected(tiny_model, tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(tiny_model, path)
-    first, second = (n.encode("utf-8") for n in M.parameter_names(tiny_model.config)[:2])
-    assert len(first) == len(second)
-    blob = path.read_bytes()
-    at = blob.index(second, _first_tensor_offset(blob))
-    path.write_bytes(blob[:at] + first + blob[at + len(second) :])
-    with pytest.raises(FormatError, match="duplicate tensor 'stem.pre.w'"):
-        load_checkpoint(path)
+    text = blob[12 : 12 + struct.unpack("<I", blob[8:12])[0]]
+    for hidden, want in (
+        (33, "parameter 'head.fc1.b' of shape (1, 33, 1, 1) needs 132 bytes, 104 remain"),
+        (2**40, f"parameter 'head.fc1.w' of shape ({2**40}, 72, 1, 1) needs {4 * 72 * 2**40} bytes, 9608 remain"),
+    ):
+        wide = text.replace(b"head_hidden = 32\n", f"head_hidden = {hidden}\n".encode())
+        assert wide != text
+        path.write_bytes(_with_config_text(blob, wide))
+        with pytest.raises(FormatError, match=re.escape(f"model.ckpt: {want}") + "$"):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -167,8 +121,8 @@ def test_cli_eval_on_malformed_checkpoint_exits_2(tiny_model, tmp_path, capsys):
     path = tmp_path / "model.ckpt"
     save_checkpoint(tiny_model, path)
     blob = path.read_bytes()
-    name_len = len(M.parameter_names(tiny_model.config)[0].encode("utf-8"))
-    for i, bad_blob in enumerate((_with_first_dims(blob, (65536,) * 4), _with_first_name(blob, b"\xff" * name_len))):
+    huge_config_len = blob[:8] + struct.pack("<I", 2**32 - 1) + blob[12:]
+    for i, bad_blob in enumerate((huge_config_len, blob[:-1], blob + b"\x00")):
         bad = tmp_path / f"bad{i}.ckpt"
         bad.write_bytes(bad_blob)
         code = main(["eval", "--ckpt", str(bad), "--data", str(tmp_path / "no_data")])
@@ -186,8 +140,8 @@ def test_header_layout_is_the_documented_one(tiny_model, tmp_path):
     cfg_len = struct.unpack("<I", blob[8:12])[0]
     cfg_text = blob[12 : 12 + cfg_len].decode("utf-8")
     assert parse_run_config(cfg_text).model == tiny_model.config
-    count = struct.unpack("<I", blob[12 + cfg_len : 16 + cfg_len])[0]
-    assert count == len(M.parameter_names(tiny_model.config))
+    values = b"".join(p.data.astype("<f4").tobytes() for p in tiny_model.params.values())
+    assert blob[12 + cfg_len :] == values
 
 
 TINY_MODEL_TEXT = (
@@ -217,11 +171,16 @@ def test_embedded_model_text_is_pinned(tiny_blob):
 @pytest.mark.parametrize("fusion_mode", M.FUSION_MODES)
 def test_embedded_text_is_the_echoed_model_block(tmp_path, name, fusion_mode):
     config = M.preset(name, fusion_mode=fusion_mode)
+    model = M.ChangeDetector(config, seed=0)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(M.ChangeDetector(config, seed=0), path)
+    save_checkpoint(model, path)
     blob = path.read_bytes()
     cfg_len = struct.unpack("<I", blob[8:12])[0]
-    assert blob[12 : 12 + cfg_len].decode("utf-8") == effective_text(RunConfig(model=config), ("model",))
+    text = effective_text(RunConfig(model=config), ("model",))
+    assert blob[12 : 12 + cfg_len].decode("utf-8") == text
+    # the rest of the file is the optimizer arena's flat data, so a resumed run can read it in place
+    assert len(blob) == 12 + len(text) + 4 * param_counts(model.params).total
+    assert blob[12 + cfg_len :] == init_state(model.params).data.astype("<f4").tobytes()
 
 
 # Spellings of TINY_MODEL_TEXT other than the one its values render to; a config file may accept some.
@@ -268,8 +227,8 @@ def test_mutated_checkpoints_load_or_raise_format_error(tmp_path, mutation_sweep
     path = tmp_path / "toy.ckpt"
     save_checkpoint(M.ChangeDetector(M.ModelConfig(1, (1, 1, 1, 1), (0, 0, 0, 0), 1), seed=0), path)
     blob = path.read_bytes()
-    # the header edits reach the config text and the first tensor's name and dims
-    mutation_sweep(blob, path, lambda: load_checkpoint(path), header=_first_dims_offset(blob) + 16)
+    # the header edits reach the version, the config length and the config text
+    mutation_sweep(blob, path, lambda: load_checkpoint(path), header=12 + struct.unpack("<I", blob[8:12])[0])
 
 
 def test_duplicate_embedded_key_rejected(tiny_blob, tmp_path):
@@ -279,17 +238,24 @@ def test_duplicate_embedded_key_rejected(tiny_blob, tmp_path):
         load_checkpoint(path)
 
 
+def test_embedded_text_without_a_section_header_names_the_fault_once(tiny_blob, tmp_path):
+    path = tmp_path / "n2.ckpt"
+    path.write_bytes(_with_config_text(tiny_blob, TINY_MODEL_TEXT.replace("[model]\n", "").encode("utf-8")))
+    with pytest.raises(FormatError, match=r"^n2\.ckpt: bad embedded config: File contains no section headers"):
+        load_checkpoint(path)
+
+
 def test_tensor_shape_contradicting_embedded_config_rejected(tiny_blob, tmp_path):
     path = tmp_path / "narrow.ckpt"
     text = TINY_MODEL_TEXT.replace("head_hidden = 64\n", "head_hidden = 6\n")
     path.write_bytes(_with_config_text(tiny_blob, text.encode("utf-8")))
-    want = "narrow.ckpt: parameter 'head.fc1.w' has shape (64, 144, 1, 1), config expects (6, 144, 1, 1)"
+    want = "narrow.ckpt: 34104 trailing bytes after the last parameter"
     with pytest.raises(FormatError, match=re.escape(want)):
         load_checkpoint(path)
 
 
 def test_config_naming_far_more_layers_than_the_file_holds_is_rejected_early(tmp_path):
-    # The load stops walking the config's layers once they outnumber the file's tensors.
+    # The load stops walking the config's layers at the first one the file cannot hold.
     path = tmp_path / "deep.ckpt"
     save_checkpoint(M.ChangeDetector(M.ModelConfig(1, (1, 1, 1, 1), (0, 0, 0, 0), 1)), path)
     blob = path.read_bytes()
@@ -301,7 +267,8 @@ def test_config_naming_far_more_layers_than_the_file_holds_is_rejected_early(tmp
     try:
         before = tracemalloc.get_traced_memory()[0]
         start = time.perf_counter()
-        with pytest.raises(FormatError, match="parameter names do not match config"):
+        want = "'enc4.res1.conv1.w' of shape (1, 1, 3, 3) needs 36 bytes, 28 remain"
+        with pytest.raises(FormatError, match=re.escape(want)):
             load_checkpoint(path)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1] - before

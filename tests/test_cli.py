@@ -673,6 +673,12 @@ def _eval_checkpoint_config_without_section(tmp_path):
     return ["eval", "--ckpt", ckpt, "--data", tmp_path]
 
 
+def _train_config_value_continued_on_next_line(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[train]\nteacher_mode = checkpoint\nteacher_checkpoint = a\n  b\n", encoding="utf-8")
+    return ["train", "--config", cfg, "--data", tmp_path, "--out", tmp_path / "m.ckpt"]
+
+
 def _predict_5000_digit_width(tmp_path):
     pre = tmp_path / "wide.ppm"
     pre.write_bytes(b"P6\n" + b"9" * 5000 + b" 32\n255\n")
@@ -704,6 +710,7 @@ def _predict_5000_digit_width(tmp_path):
         _eval_checkpoint_config_without_section,
         _bench_config("epochs = 3\n"),
         _bench_config("[train]\nepochs 3\n"),
+        _train_config_value_continued_on_next_line,
         lambda tmp_path: ["bench", "--preset", "nano", "--size", 0, "--runs", 1, "--warmup", 0],
         lambda tmp_path: ["bench", "--preset", "nano", "--size", -32, "--runs", 1, "--warmup", 0],
     ],
@@ -716,6 +723,7 @@ def _predict_5000_digit_width(tmp_path):
         "predict-missing-pre", "predict-directory-post", "predict-5000-digit-width", "train-missing-config",
         "bench-config-directory", "eval-no-manifest", "eval-truncated-checkpoint",
         "eval-checkpoint-config-without-section", "config-key-before-section", "config-line-without-equals",
+        "config-value-continued-on-next-line",
         "bench-size-0", "bench-size-minus-32",
     ],
 )

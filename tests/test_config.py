@@ -297,13 +297,19 @@ def test_bool_spellings(raw, expected):
 
 
 def test_duplicate_key_rejected():
-    with pytest.raises(ConfigError, match="bad config file"):
+    with pytest.raises(ConfigError, match="option 'epochs' in section 'train' already exists"):
         parse_run_config("[train]\nepochs = 2\nepochs = 3\n")
 
 
 def test_key_outside_any_section_rejected():
-    with pytest.raises(ConfigError, match="bad config file"):
+    with pytest.raises(ConfigError, match="^File contains no section headers"):
         parse_run_config("epochs = 2\n")
+
+
+def test_value_continued_onto_an_indented_line_rejected():
+    # configparser joins "  b" onto the value above it as "a\nb"
+    with pytest.raises(ConfigError, match=r"^\[train\] teacher_checkpoint: a value must fit on one line$"):
+        parse_run_config("[train]\nteacher_mode = checkpoint\nteacher_checkpoint = a\n  b\n")
 
 
 def test_model_preset_key_expands():
