@@ -49,8 +49,8 @@ class _Output:
 def _echo(out: _Output, command: str, args_pairs: list[tuple[str, object]], run_config: RunConfig, names,
           config_file=None):
     out.line(f"# changedet {command} (v{__version__})")
-    for key, value in args_pairs:
-        out.line(f"# {key} = {value}")
+    for key, value in args_pairs:  # an unprintable value, such as one holding a line break, by repr
+        out.line(f"# {key} = {value if str(value).isprintable() else repr(str(value))}")
     if config_file:  # one --config file may serve every command; name the sections this one never reads
         out.line("# not read: " + " ".join(f"[{s}]" for s in SCHEMA if s not in names))
     out.line(effective_text(run_config, names).rstrip("\n"))

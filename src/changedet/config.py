@@ -92,8 +92,6 @@ def _to_int_tuple(section: str, key: str, raw: str) -> tuple[int, ...]:
 
 
 def _to_str(section: str, key: str, raw: str) -> str:
-    if "\n" in raw:  # configparser joins an indented next line onto the value
-        raise ConfigError(f"[{section}] {key}: a value must fit on one line")
     return raw.strip()
 
 

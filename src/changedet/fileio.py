@@ -13,13 +13,14 @@ from .errors import DataError
 
 
 def read_input(path, what: str) -> bytes:
-    """The bytes of the file at path; a path that names no file, or names a
-    directory, raises ``DataError("<what> not found: <path>")``; a path holding
-    a NUL byte, which no OS accepts, raises a DataError that shows it by repr."""
+    """The bytes of the file at path.  A path that names no file, or a directory,
+    raises ``DataError("<what> not found: <path>")``, showing an unprintable path
+    by repr; one holding a NUL byte, which no OS accepts, raises another DataError."""
     try:
         return Path(path).read_bytes()
     except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
-        raise DataError(f"{what} not found: {path}") from None
+        shown = str(path) if str(path).isprintable() else repr(str(path))
+        raise DataError(f"{what} not found: {shown}") from None
     except ValueError:
         raise DataError(f"{what} path {str(path)!r} holds a NUL byte") from None
 

@@ -15,8 +15,10 @@ parameters.  The naive baseline mode concatenates everything and pays for a
 from __future__ import annotations
 
 import functools
+import math
 import os
 import queue
+import sys
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -141,6 +143,8 @@ def init_params(config: ModelConfig, seed: int = 0, dtype=REAL32) -> dict[str, T
     for spec in conv_specs(config):
         bound = float(np.sqrt(1.0 / (spec.c_in_per_group * spec.kernel * spec.kernel)))
         for name, shape in spec.params:
+            if math.prod(shape) * 8 > sys.maxsize:  # the float64 draw; numpy would raise ValueError here
+                raise MemoryError(f"Unable to allocate parameter {name} of shape {shape}: it exceeds the address space")
             params[name] = Tensor(rng.uniform(-bound, bound, shape).astype(dtype))
     return params
 

@@ -3,12 +3,12 @@ learning-rate schedule.
 
 init_state lays the parameters' values and gradients and AdamW's two moments
 out as four flat buffers, in the order of the parameter dict (for a model,
-``conv_specs`` order); the returned OptimizerState is those buffers plus the
-step counter.  Every ``.data`` and every ``.grad`` is a view of its slice.
-Backward therefore accumulates each gradient straight into the arena,
-clearing the gradients is one fill, and adamw_step runs its ufuncs over
+``conv_specs`` order), and is the one place a parameter is bound: every
+``.data`` and ``.grad`` becomes a view of its slice, gradients start at zero,
+and nothing rebinds them.  Backward accumulates straight into the arena,
+``state.grad.fill(0)`` clears it, and adamw_step runs its ufuncs over
 cache-sized blocks of the flat buffers, not once per tensor.  The moments
-are only read flat: a parameter's entries sit at the offsets of its values.
+are only read flat, at the offsets of the values.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .tensor import REAL32, Tensor
 
 # Elements per AdamW block.  For 576k float32 parameters, 64k blocks took
@@ -41,22 +41,20 @@ def lr_at(step: int, total_steps: int, base_lr: float) -> float:
 
 @dataclass
 class OptimizerState:
-    """Flat parameter values, gradients and AdamW moments, each parameter's
-    (data, grad) views, and the step counter that bias correction uses.
-    work holds two block-sized buffers for the update's intermediates; they
-    carry nothing between steps."""
+    """Flat parameter values, gradients and AdamW moments, and the step
+    counter that bias correction uses.  work holds two block-sized buffers
+    for the update's intermediates; they carry nothing between steps."""
 
     data: np.ndarray
     grad: np.ndarray
     m: np.ndarray
     v: np.ndarray
-    views: dict[str, tuple[np.ndarray, np.ndarray]]
     work: tuple[np.ndarray, np.ndarray]
     step: int = 0
 
 
 def init_state(params: dict[str, Tensor]) -> OptimizerState:
-    """Zero moments over a new arena that now holds every parameter's data and grad."""
+    """Bind every parameter once to a new arena: values copied in, gradients and moments zero."""
     dtypes = {p.data.dtype for p in params.values()}
     if len(dtypes) > 1:
         raise ConfigError(f"init_state: parameters of mixed dtype {sorted(d.name for d in dtypes)} share no arena")
@@ -64,45 +62,17 @@ def init_state(params: dict[str, Tensor]) -> OptimizerState:
     size = sum(p.data.size for p in params.values())
     data = np.empty(size, dtype)
     grad, m, v = (np.zeros(size, dtype) for _ in range(3))
-    views, start = {}, 0
-    for name, p in params.items():
+    start = 0
+    for p in params.values():
         stop = start + p.data.size
-        views[name] = (data[start:stop].reshape(p.data.shape), grad[start:stop].reshape(p.data.shape))
+        data[start:stop] = p.data.ravel()
+        p.data, p.grad = data[start:stop].reshape(p.data.shape), grad[start:stop].reshape(p.data.shape)
         start = stop
     block = min(BLOCK, size)
-    state = OptimizerState(data, grad, m, v, views, (np.empty(block, dtype), np.empty(block, dtype)))
-    _bind(params, state)
-    return state
-
-
-def _bind(params: dict[str, Tensor], state: OptimizerState) -> None:
-    # The one check of a state against its parameters.  A .data or .grad
-    # that is not its arena view was put there by a caller; its value moves
-    # into the arena and the view takes its place.  A missing gradient
-    # counts as zero.
-    if params.keys() != state.views.keys():
-        raise ShapeError(f"optimizer state/parameter name mismatch: {sorted(params.keys() ^ state.views.keys())}")
-    for name, p in params.items():
-        data, grad = state.views[name]
-        if p.data is not data:
-            if p.data.dtype != data.dtype:
-                raise ConfigError(f"parameter {name!r} is {p.data.dtype.name}, its arena {data.dtype.name}")
-            if p.data.shape != data.shape:
-                raise ShapeError(f"parameter {name!r} has shape {p.data.shape}, its arena slot {data.shape}")
-            np.copyto(data, p.data)
-            p.data = data
-        if p.grad is not grad:
-            if p.grad is None:
-                grad.fill(0)
-            elif p.grad.shape != grad.shape:
-                raise ShapeError(f"gradient for {name!r} has shape {p.grad.shape}, want {grad.shape}")
-            else:
-                np.copyto(grad, p.grad)
-            p.grad = grad
+    return OptimizerState(data, grad, m, v, (np.empty(block, dtype), np.empty(block, dtype)))
 
 
 def adamw_step(
-    params: dict[str, Tensor],
     state: OptimizerState,
     lr: float,
     *,
@@ -111,14 +81,13 @@ def adamw_step(
     eps: float = 1e-8,
     weight_decay: float = 0.01,
 ) -> None:
-    """One in-place update: moments from .grad, decay applied to the weight.
+    """One in-place update of the arena: moments from .grad, decay applied to the weight.
 
-    A missing gradient counts as zero, so unreached parameters still shrink
-    under weight decay.  Bias correction uses the shared step counter.
+    An unreached parameter's gradient stays zero, so it still shrinks under
+    weight decay.  Bias correction uses the shared step counter.
     """
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ConfigError(f"adamw_step: betas must lie in [0, 1), got ({beta1}, {beta2})")
-    _bind(params, state)
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1**t
@@ -150,10 +119,3 @@ def adamw_step(
         np.add(a, b, out=a)
         np.multiply(a, lr, out=a)
         np.subtract(p, a, out=p)
-
-
-def zero_grads(params: dict[str, Tensor], state: OptimizerState) -> None:
-    """Clear every gradient with one fill of the arena's gradient buffer."""
-    state.grad.fill(0)
-    for name, p in params.items():
-        p.grad = state.views[name][1]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import platform
+import sys
 import time
 from dataclasses import dataclass
 
@@ -69,6 +70,8 @@ def _batch_of_one(size: tuple[int, int]) -> tuple[int, int, int, int]:
     h, w = size
     if h < 32 or w < 32 or h % 32 or w % 32:
         raise ConfigError(f"input size must be positive multiples of 32, got {h}x{w}")
+    if 3 * h * w * 4 > sys.maxsize:  # float32 bytes; numpy raises ValueError, not MemoryError, past its index range
+        raise MemoryError(f"Unable to allocate an input image of shape (1, 3, {h}, {w}): it exceeds the address space")
     return (1, 3, h, w)
 
 

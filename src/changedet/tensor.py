@@ -197,7 +197,7 @@ class Tape:
 def _accum(t: Tensor, g: np.ndarray):
     # A first gradient becomes a copy of g in t's dtype and shape; later ones
     # add into that buffer.  t keeps no reference to g, so callers may pass
-    # read-only or broadcast views without copying them first.  A parameter
+    # read-only or broadcast arrays without copying them first.  A parameter
     # in an optimizer arena starts from a zeroed gradient view and
     # accumulates straight into it.  This is the one gate for frozen tensors:
     # backward closures call it unconditionally, and it drops g for a tensor

@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError, NumericError
 from .losses import LossSelection, LossWeights, compute_losses
 from .metrics import evaluate
 from .model import ChangeDetector
-from .optim import adamw_step, init_state, lr_at, zero_grads
+from .optim import adamw_step, init_state, lr_at
 from .tensor import Tape, resize_bilinear_array
 
 TEACHER_MODES = ("checkpoint", "oracle", "none")
@@ -90,6 +90,9 @@ class TrainConfig:
             raise ConfigError(f"teacher_mode must be one of {TEACHER_MODES}, got {self.teacher_mode!r}")
         if (self.teacher_mode == "checkpoint") != (self.teacher_checkpoint is not None):
             raise ConfigError("teacher_checkpoint must be given exactly when teacher_mode is 'checkpoint'")
+        path = self.teacher_checkpoint or ""
+        if "".join(path.splitlines()) != path:  # a line break would split its echo and its error line
+            raise ConfigError(f"teacher_checkpoint must fit on one line, got {path!r}")
 
 
 def gaussian_blur3(img: np.ndarray, sigma: float) -> np.ndarray:
@@ -254,8 +257,7 @@ def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=No
     val_index = load_index(data_root, "val")
     if len(train_index) == 0 or len(val_index) == 0:
         raise DataError("training needs non-empty train and val splits")
-    params = student.params
-    state = init_state(params)
+    state = init_state(student.params)
     batches_per_epoch = math.ceil(len(train_index) / config.batch_size)
     total_steps = config.epochs * batches_per_epoch
     result = FitResult(model=student)
@@ -279,14 +281,14 @@ def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=No
                     )
                     tape.backward(total)
                 adamw_step(
-                    params, state, lr_at(step, total_steps, config.base_lr),
+                    state, lr_at(step, total_steps, config.base_lr),
                     beta1=config.beta1, beta2=config.beta2,
                     eps=config.adam_eps, weight_decay=config.weight_decay,
                 )
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
             finally:
-                zero_grads(params, state)
+                state.grad.fill(0)
             n = pre.shape[0]
             for key in sums:
                 sums[key] += parts[key] * n

@@ -173,6 +173,15 @@ def test_train_echo_parses_back(nano_run):
     assert not rc.train.augment.enabled
 
 
+def test_train_echo_shows_an_argument_with_a_line_break_by_repr(capsys, tmp_path):
+    data = tmp_path / "d\ne"
+    code, out, err = run_cli(capsys, "train", "--data", data, "--out", tmp_path / "o.ckpt", "--oracle-teacher")
+    assert code == 2
+    assert f"\n# data = {str(data)!r}\n" in out
+    assert echoed_config(out).train.teacher_mode == "oracle"
+    assert len(err.splitlines()) == 1 and err.startswith("error: manifest not found: '")
+
+
 def test_train_rerun_reproduces(capsys, nano_run, tmp_path):
     ckpt2 = tmp_path / "again.npz"
     code, out, _ = run_cli(
@@ -679,6 +688,14 @@ def _train_config_value_continued_on_next_line(tmp_path):
     return ["train", "--config", cfg, "--data", tmp_path, "--out", tmp_path / "m.ckpt"]
 
 
+def _eval_checkpoint_path_with_newline(tmp_path):
+    return ["eval", "--ckpt", tmp_path / "a\nb", "--data", tmp_path]
+
+
+def _train_teacher_path_with_newline(tmp_path):
+    return ["train", "--data", tmp_path / "d\ne", "--out", tmp_path / "o.ckpt", "--teacher", tmp_path / "t\nu"]
+
+
 def _predict_5000_digit_width(tmp_path):
     pre = tmp_path / "wide.ppm"
     pre.write_bytes(b"P6\n" + b"9" * 5000 + b" 32\n255\n")
@@ -711,6 +728,8 @@ def _predict_5000_digit_width(tmp_path):
         _bench_config("epochs = 3\n"),
         _bench_config("[train]\nepochs 3\n"),
         _train_config_value_continued_on_next_line,
+        _eval_checkpoint_path_with_newline,
+        _train_teacher_path_with_newline,
         lambda tmp_path: ["bench", "--preset", "nano", "--size", 0, "--runs", 1, "--warmup", 0],
         lambda tmp_path: ["bench", "--preset", "nano", "--size", -32, "--runs", 1, "--warmup", 0],
     ],
@@ -723,7 +742,7 @@ def _predict_5000_digit_width(tmp_path):
         "predict-missing-pre", "predict-directory-post", "predict-5000-digit-width", "train-missing-config",
         "bench-config-directory", "eval-no-manifest", "eval-truncated-checkpoint",
         "eval-checkpoint-config-without-section", "config-key-before-section", "config-line-without-equals",
-        "config-value-continued-on-next-line",
+        "config-value-continued-on-next-line", "eval-checkpoint-path-with-newline", "train-teacher-path-with-newline",
         "bench-size-0", "bench-size-minus-32",
     ],
 )
@@ -741,6 +760,24 @@ def test_model_too_large_for_memory_exits_3_with_one_error_line(capsys, tmp_path
     code, _, err = run_cli(capsys, "bench", "--config", cfg, "--size", 64, "--runs", 1, "--warmup", 0)
     assert code == 3
     assert len(err.splitlines()) == 1 and err.startswith("error: Unable to allocate")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--preset", "nano", "--size", 2**40],
+        ["--config", "huge.cfg", "--size", 64],
+    ],
+    ids=["input-size-2**40", "stem-channels-2**70"],
+)
+def test_shape_past_numpy_index_range_exits_3_with_one_error_line(capsys, monkeypatch, tmp_path, argv):
+    # numpy raises ValueError, not MemoryError, for an array whose byte count overflows its index type
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.cfg").write_text(f"[model]\npreset = nano\nstem_channels = {2**70}\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "bench", *argv, "--runs", 1, "--warmup", 0)
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("error: Unable to allocate")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

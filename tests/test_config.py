@@ -308,7 +308,7 @@ def test_key_outside_any_section_rejected():
 
 def test_value_continued_onto_an_indented_line_rejected():
     # configparser joins "  b" onto the value above it as "a\nb"
-    with pytest.raises(ConfigError, match=r"^\[train\] teacher_checkpoint: a value must fit on one line$"):
+    with pytest.raises(ConfigError, match=r"^teacher_checkpoint must fit on one line, got 'a\\nb'$"):
         parse_run_config("[train]\nteacher_mode = checkpoint\nteacher_checkpoint = a\n  b\n")
 
 

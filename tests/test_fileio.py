@@ -60,6 +60,12 @@ def test_read_input_reports_a_missing_file_or_a_directory_as_not_found(tmp_path,
         read_input(tmp_path / name, "thing")
 
 
+def test_read_input_shows_a_missing_path_with_a_line_break_by_repr(tmp_path):
+    path = tmp_path / "a\nb"
+    with pytest.raises(DataError, match=f"^thing not found: {re.escape(repr(str(path)))}$"):
+        read_input(path, "thing")
+
+
 @pytest.mark.parametrize("as_path", [str, Path], ids=["str", "Path"])
 def test_read_input_reports_a_nul_byte_in_the_path(tmp_path, as_path):
     path = as_path(f"{tmp_path}/a\0b")

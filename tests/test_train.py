@@ -2,6 +2,7 @@ import ctypes
 import hashlib
 import io
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from changedet.data import BitemporalSample, SynthConfig, generate_synthetic_dat
 from changedet.errors import ConfigError, DataError, NumericError
 from changedet.losses import LossSelection, LossWeights
 from changedet.metrics import ConfusionCounts, MetricsReport, evaluate
-from changedet.model import ChangeDetector, preset
+from changedet.model import ChangeDetector, parameter_names, preset
 from changedet.train import (
     AugmentConfig,
     EpochLog,
@@ -192,6 +193,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=message):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("path", ["a\nb", "a\r\nb", "a\u2028b", "a\n"])
+    def test_teacher_checkpoint_with_a_line_break_rejected(self, path):
+        with pytest.raises(ConfigError, match=r"^teacher_checkpoint must fit on one line, got '"):
+            TrainConfig(teacher_mode="checkpoint", teacher_checkpoint=path)
+
     def test_make_teacher_modes(self, tmp_path):
         assert make_teacher(TrainConfig(teacher_mode="none")) is None
         assert isinstance(make_teacher(TrainConfig(teacher_mode="oracle")), OracleTeacher)
@@ -220,6 +226,32 @@ def _checkpoint_bytes(model, tmp_path, tag):
     path = tmp_path / f"{tag}.ckpt"
     save_checkpoint(model, path)
     return path.read_bytes()
+
+
+def test_fit_keeps_every_parameter_in_one_arena(train_root, tmp_path):
+    # init_state binds each parameter once and nothing in fit rebinds one, so
+    # after a run every .data, and apart every .grad, still tiles one flat buffer.
+    model = ChangeDetector(preset("nano"), seed=5)
+    cfg = TrainConfig(batch_size=4, epochs=1, seed=5, augment=NO_AUG, teacher_mode="oracle")
+    fit(model, make_teacher(cfg), train_root, cfg)
+    names = parameter_names(model.config)
+    assert list(model.params) == names
+    flats = []
+    for attr in ("data", "grad"):
+        views = [getattr(model.params[name], attr) for name in names]
+        flat = views[0].base
+        assert flat.ndim == 1 and flat.size == sum(v.size for v in views)
+        offset = 0
+        for view in views:
+            assert view.base is flat
+            assert view.ctypes.data == flat.ctypes.data + offset * flat.itemsize
+            offset += view.size
+        flats.append(flat)
+    data, grad = flats
+    assert data is not grad
+    blob = _checkpoint_bytes(model, tmp_path, "arena")
+    cfg_len = struct.unpack("<I", blob[8:12])[0]
+    assert blob[12 + cfg_len :] == data.astype("<f4").tobytes()
 
 
 class TestFit:
