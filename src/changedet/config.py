@@ -82,20 +82,19 @@ def _to_float(section: str, key: str, raw: str) -> float:
 
 def _to_bool(section: str, key: str, raw: str) -> bool:
     try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
     except KeyError:
         raise ConfigError(f"[{section}] {key}: expected on/off, got {raw!r}")
 
 
 def _to_int_tuple(section: str, key: str, raw: str) -> tuple[int, ...]:
+    if "\n" in raw:  # an indented line joined on; int() would strip the line break after a comma
+        raise ConfigError(f"[{section}] {key}: a value must fit on one line, got {raw!r}")
     return tuple(_to_int(section, key, part.strip()) for part in raw.split(","))
 
 
-def _to_str(section: str, key: str, raw: str) -> str:
-    return raw.strip()
-
-
-_CONVERTERS = {bool: _to_bool, int: _to_int, float: _to_float, tuple: _to_int_tuple, str: _to_str, type(None): _to_str}
+# configparser has stripped every value, so a string (or a None default's path) is taken as it is.
+_CONVERTERS = {bool: _to_bool, int: _to_int, float: _to_float, tuple: _to_int_tuple}
 
 
 def _collect(section: str, items: dict[str, str]) -> dict[tuple, object]:
@@ -104,8 +103,8 @@ def _collect(section: str, items: dict[str, str]) -> dict[tuple, object]:
     unknown = sorted(set(items) - set(paths))
     if unknown:
         raise ConfigError(f"unknown keys in [{section}]: {unknown}")
-    convert = {key: _CONVERTERS[type(_get(RunConfig(), path))] for key, path in paths.items()}
-    return {paths[key]: convert[key](section, key, raw) for key, raw in items.items()}
+    convert = {key: _CONVERTERS.get(type(_get(RunConfig(), path))) for key, path in paths.items()}
+    return {paths[key]: convert[key](section, key, raw) if convert[key] else raw for key, raw in items.items()}
 
 
 def _build(config, path: tuple, values: dict[tuple, object]):

@@ -5,7 +5,8 @@ stand-in) predicts outside any gradient tape; a run has a distillation term
 exactly when it has a teacher, and only the student's parameters ever receive
 gradients.  The whole run is a pure function of (seed, config, dataset):
 batch order, augmentation draws, and parameter updates all derive from the
-config seed.
+config seed.  The config only switches augmentation on or off; its
+transforms and their draw ranges are the constants beside `augment_pair`.
 """
 
 from __future__ import annotations
@@ -29,30 +30,9 @@ ORACLE_SMOOTHING = 0.1  # label smoothing of the oracle teacher's one-hot target
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    """Per-batch augmentation gates and magnitudes (all probabilities in [0,1])."""
+    """The augmentation switch; the transforms and their draws are the constants beside `augment_pair`."""
 
     enabled: bool = field(default=True, metadata={"key": "augment"})
-    flip_prob: float = 0.5
-    jitter_prob: float = 0.5
-    jitter_strength: float = 0.1
-    scale_prob: float = 0.3
-    scale_min: float = 1.0
-    scale_max: float = 1.2
-    blur_prob: float = 0.2
-    blur_sigma_min: float = 0.3
-    blur_sigma_max: float = 1.0
-
-    def __post_init__(self):
-        for name in ("flip_prob", "jitter_prob", "scale_prob", "blur_prob"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"AugmentConfig.{name} must lie in [0, 1], got {v}")
-        if self.jitter_strength < 0:
-            raise ConfigError(f"jitter_strength must be >= 0, got {self.jitter_strength}")
-        if not 1.0 <= self.scale_min <= self.scale_max:
-            raise ConfigError(f"need 1 <= scale_min <= scale_max, got {self.scale_min}, {self.scale_max}")
-        if not 0.0 < self.blur_sigma_min <= self.blur_sigma_max:
-            raise ConfigError(f"need 0 < blur_sigma_min <= blur_sigma_max, got {self.blur_sigma_min}, {self.blur_sigma_max}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +97,16 @@ def _nearest_resize(mask: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return mask[np.ix_(rows, cols)]
 
 
-def augment_pair(sample: BitemporalSample, rng, config: AugmentConfig = AugmentConfig()) -> BitemporalSample:
+FLIP_PROB = 0.5  # per axis
+JITTER_PROB = 0.5  # per image
+JITTER_STRENGTH = 0.1  # brightness offset within +-this, contrast factor within 1 +- this
+SCALE_PROB = 0.3
+SCALE_RANGE = (1.0, 1.2)  # zoom factor before the crop back to size
+BLUR_PROB = 0.2  # per image
+BLUR_SIGMA_RANGE = (0.3, 1.0)
+
+
+def augment_pair(sample: BitemporalSample, rng) -> BitemporalSample:
     """Randomly perturb one sample; geometry is joint, photometry per image.
 
     Flips and scale-crop move pre, post, and mask identically (mask via
@@ -125,35 +114,33 @@ def augment_pair(sample: BitemporalSample, rng, config: AugmentConfig = AugmentC
     blur touch the images only.  Pixel values are clamped back to [0, 1].
     """
     pre, post, mask = sample.pre, sample.post, sample.mask
-    if config.enabled:
-        if rng.random() < config.flip_prob:
-            pre, post, mask = pre[:, :, ::-1], post[:, :, ::-1], mask[:, ::-1]
-        if rng.random() < config.flip_prob:
-            pre, post, mask = pre[:, ::-1, :], post[:, ::-1, :], mask[::-1, :]
-        jittered = []
-        for img in (pre, post):
-            if rng.random() < config.jitter_prob:
-                s = config.jitter_strength
-                brightness = rng.uniform(-s, s)
-                contrast = rng.uniform(1.0 - s, 1.0 + s)
-                img = (img - 0.5) * contrast + 0.5 + brightness
-            jittered.append(img)
-        pre, post = jittered
-        if rng.random() < config.scale_prob:
-            h, w = mask.shape
-            factor = rng.uniform(config.scale_min, config.scale_max)
-            nh, nw = max(h, round(h * factor)), max(w, round(w * factor))
-            top = int(rng.integers(0, nh - h + 1))
-            left = int(rng.integers(0, nw - w + 1))
-            pre = resize_bilinear_array(pre, nh, nw)[:, top : top + h, left : left + w]
-            post = resize_bilinear_array(post, nh, nw)[:, top : top + h, left : left + w]
-            mask = _nearest_resize(mask, nh, nw)[top : top + h, left : left + w]
-        blurred = []
-        for img in (pre, post):
-            if rng.random() < config.blur_prob:
-                img = gaussian_blur3(img, float(rng.uniform(config.blur_sigma_min, config.blur_sigma_max)))
-            blurred.append(img)
-        pre, post = blurred
+    if rng.random() < FLIP_PROB:
+        pre, post, mask = pre[:, :, ::-1], post[:, :, ::-1], mask[:, ::-1]
+    if rng.random() < FLIP_PROB:
+        pre, post, mask = pre[:, ::-1, :], post[:, ::-1, :], mask[::-1, :]
+    jittered = []
+    for img in (pre, post):
+        if rng.random() < JITTER_PROB:
+            brightness = rng.uniform(-JITTER_STRENGTH, JITTER_STRENGTH)
+            contrast = rng.uniform(1.0 - JITTER_STRENGTH, 1.0 + JITTER_STRENGTH)
+            img = (img - 0.5) * contrast + 0.5 + brightness
+        jittered.append(img)
+    pre, post = jittered
+    if rng.random() < SCALE_PROB:
+        h, w = mask.shape
+        factor = rng.uniform(*SCALE_RANGE)
+        nh, nw = max(h, round(h * factor)), max(w, round(w * factor))
+        top = int(rng.integers(0, nh - h + 1))
+        left = int(rng.integers(0, nw - w + 1))
+        pre = resize_bilinear_array(pre, nh, nw)[:, top : top + h, left : left + w]
+        post = resize_bilinear_array(post, nh, nw)[:, top : top + h, left : left + w]
+        mask = _nearest_resize(mask, nh, nw)[top : top + h, left : left + w]
+    blurred = []
+    for img in (pre, post):
+        if rng.random() < BLUR_PROB:
+            img = gaussian_blur3(img, float(rng.uniform(*BLUR_SIGMA_RANGE)))
+        blurred.append(img)
+    pre, post = blurred
     pre = np.clip(pre, 0.0, 1.0).astype(np.float32, copy=False)
     post = np.clip(post, 0.0, 1.0).astype(np.float32, copy=False)
     return BitemporalSample(
@@ -236,13 +223,9 @@ class FitResult:
         return "".join(entry.line() + "\n" for entry in self.logs)
 
 
-def _augment_batch(pre, post, mask, rng, config: AugmentConfig):
-    outs = [augment_pair(BitemporalSample(pre[i], post[i], mask[i]), rng, config) for i in range(pre.shape[0])]
-    return (
-        np.stack([s.pre for s in outs]),
-        np.stack([s.post for s in outs]),
-        np.stack([s.mask for s in outs]),
-    )
+def _augment_batch(pre, post, mask, rng):
+    outs = [augment_pair(BitemporalSample(pre[i], post[i], mask[i]), rng) for i in range(pre.shape[0])]
+    return tuple(np.stack([getattr(s, name) for s in outs]) for name in ("pre", "post", "mask"))
 
 
 def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=None) -> FitResult:
@@ -270,7 +253,8 @@ def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=No
         seen = 0
         batches = batch_iter(train_index, config.batch_size, seed=config.seed, shuffle=True, epoch=epoch)
         for batch_idx, (pre, post, mask, _ids) in enumerate(batches):
-            pre, post, mask = _augment_batch(pre, post, mask, aug_rng, config.augment)
+            if config.augment.enabled:
+                pre, post, mask = _augment_batch(pre, post, mask, aug_rng)
             teacher_probs = None if teacher is None else teacher.predict(pre, post, mask)
             try:
                 with Tape() as tape:
