@@ -26,10 +26,13 @@ from .netpbm import load_pgm, load_ppm, save_pgm, save_ppm
 from .tensor import resize_bilinear_array
 
 SPLITS = ("train", "val", "test")
+MAX_TRIES = 80  # scenes render_sample draws before it calls the change-fraction bounds infeasible
 
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """The `[data]` section; the scene retry budget is the constant MAX_TRIES."""
+
     image_size: int = 64
     train_count: int = 200
     val_count: int = 50
@@ -41,7 +44,6 @@ class SynthConfig:
     drift: float = 0.08
     noise_sigma: float = 0.02
     seed: int = 0
-    max_retries: int = 80
 
     def __post_init__(self):
         if self.image_size < 32 or self.image_size % 32:
@@ -56,8 +58,6 @@ class SynthConfig:
             raise ConfigError("drift and noise_sigma must be non-negative")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.max_retries < 1:
-            raise ConfigError(f"max_retries must be >= 1, got {self.max_retries}")
 
 
 @dataclass
@@ -119,10 +119,10 @@ def _shape_color(rng: np.random.Generator) -> np.ndarray:
 
 def render_sample(cfg: SynthConfig, rng: np.random.Generator) -> BitemporalSample:
     """Draw one scene; raises ConfigError if the change-fraction bounds
-    cannot be met within the retry budget."""
+    cannot be met within MAX_TRIES scenes."""
     lo, hi = cfg.change_min, cfg.change_max
     size = cfg.image_size
-    for _ in range(cfg.max_retries):
+    for _ in range(MAX_TRIES):
         background = _background(rng, size)
         n_shapes = int(rng.integers(cfg.shape_min, cfg.shape_max + 1))
         taken: list[tuple] = []
@@ -158,7 +158,7 @@ def render_sample(cfg: SynthConfig, rng: np.random.Generator) -> BitemporalSampl
             mask=mask,
         )
     raise ConfigError(
-        f"could not hit change fraction in [{lo}, {hi}] within {cfg.max_retries} tries; "
+        f"could not hit change fraction in [{lo}, {hi}] within {MAX_TRIES} tries; "
         "bounds are infeasible for the configured shapes"
     )
 

@@ -23,8 +23,11 @@ from .tensor import REAL32, Tensor
 # Elements per AdamW block.  For 576k float32 parameters, 64k blocks took
 # 2.16 ms per step against 2.71 ms for 16k blocks, 2.76 ms for one pass over
 # the whole buffers and 2.96 ms per tensor (2-vCPU Xeon VM): the gain is
-# cache reuse across the 16 ufuncs, not fewer calls.
+# cache reuse across the 19 ufuncs, not fewer calls.
 BLOCK = 1 << 16
+
+# Adam's moment decays and denominator guard (Kingma & Ba, arXiv:1412.6980).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def lr_at(step: int, total_steps: int, base_lr: float) -> float:
@@ -72,26 +75,19 @@ def init_state(params: dict[str, Tensor]) -> OptimizerState:
     return OptimizerState(data, grad, m, v, (np.empty(block, dtype), np.empty(block, dtype)))
 
 
-def adamw_step(
-    state: OptimizerState,
-    lr: float,
-    *,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.01,
-) -> None:
+def adamw_step(state: OptimizerState, lr: float, *, weight_decay: float = 0.01) -> None:
     """One in-place update of the arena: moments from .grad, decay applied to the weight.
 
     An unreached parameter's gradient stays zero, so it still shrinks under
-    weight decay.  Bias correction uses the shared step counter.
+    weight decay.  Bias correction uses the shared step counter.  A first
+    moment below the dtype's smallest normal is flushed to zero: it moves no
+    weight, and every ufunc that reads a subnormal runs several times slower.
     """
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ConfigError(f"adamw_step: betas must lie in [0, 1), got ({beta1}, {beta2})")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
+    tiny = np.finfo(state.m.dtype).tiny
     work_a, work_b = state.work
     size = state.data.size
     for start in range(0, size, BLOCK):
@@ -102,18 +98,22 @@ def adamw_step(
         # The ufuncs and their order are those of the textbook form
         #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
         #   p -= lr * (m/bc1 / (sqrt(v/bc2) + eps) + wd*p)
-        # written into two buffers instead of a dozen temporaries.
-        np.multiply(m, beta1, out=m)
-        np.multiply(g, 1.0 - beta1, out=a)
+        # written into two buffers instead of a dozen temporaries, plus the
+        # flush of m: m *= (|m| >= tiny).
+        np.multiply(m, BETA1, out=m)
+        np.multiply(g, 1.0 - BETA1, out=a)
         np.add(m, a, out=m)
-        np.multiply(v, beta2, out=v)
+        np.abs(m, out=a)
+        np.greater_equal(a, tiny, out=a, casting="unsafe")
+        np.multiply(m, a, out=m)
+        np.multiply(v, BETA2, out=v)
         np.multiply(g, g, out=a)
-        np.multiply(a, 1.0 - beta2, out=a)
+        np.multiply(a, 1.0 - BETA2, out=a)
         np.add(v, a, out=v)
         np.divide(m, bc1, out=a)
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
-        np.add(b, eps, out=b)
+        np.add(b, EPS, out=b)
         np.divide(a, b, out=a)
         np.multiply(p, weight_decay, out=b)
         np.add(a, b, out=a)

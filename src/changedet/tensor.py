@@ -488,22 +488,14 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out = _sigmoid_array(x.data)
+    # exp(-|z|) lies in [0, 1], so neither form overflows.
+    e = np.exp(-np.abs(x.data))
+    out = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(gout: np.ndarray):
         _accum(x, gout * out * (1 - out))
 
     return _emit("sigmoid", out, backward)
-
-
-def _sigmoid_array(z: np.ndarray) -> np.ndarray:
-    # Branch on sign to avoid exp overflow.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 ELEMENTWISE = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid}

@@ -37,12 +37,11 @@ class AugmentConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The `[train]` section; Adam's decays and epsilon are the constants in optim.py."""
+
     batch_size: int = 8
     base_lr: float = 3e-4
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 20
     seed: int = 0
     weights: LossWeights = LossWeights()
@@ -56,10 +55,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.base_lr <= 0:
             raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"betas must lie in [0, 1), got ({self.beta1}, {self.beta2})")
-        if self.adam_eps <= 0:
-            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.epochs < 1:
@@ -264,11 +259,7 @@ def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=No
                         teacher_probs, config.weights, config.selection,
                     )
                     tape.backward(total)
-                adamw_step(
-                    state, lr_at(step, total_steps, config.base_lr),
-                    beta1=config.beta1, beta2=config.beta2,
-                    eps=config.adam_eps, weight_decay=config.weight_decay,
-                )
+                adamw_step(state, lr_at(step, total_steps, config.base_lr), weight_decay=config.weight_decay)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
             finally:

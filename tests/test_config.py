@@ -77,9 +77,6 @@ fusion_mode = emff
 batch_size = 8
 base_lr = 0.0003
 weight_decay = 0.01
-beta1 = 0.9
-beta2 = 0.999
-adam_eps = 1e-08
 epochs = 20
 seed = 0
 teacher_mode = none
@@ -97,7 +94,6 @@ change_max = 0.35
 drift = 0.08
 noise_sigma = 0.02
 seed = 0
-max_retries = 80
 
 [loss]
 gt_loss = ce
@@ -128,9 +124,6 @@ AWAY = {
     ("train", "batch_size"): "3",
     ("train", "base_lr"): "0.001",
     ("train", "weight_decay"): "0.0",
-    ("train", "beta1"): "0.8",
-    ("train", "beta2"): "0.99",
-    ("train", "adam_eps"): "1e-06",
     ("train", "epochs"): "3",
     ("train", "seed"): "5",
     ("train", "teacher_mode"): "oracle",
@@ -147,7 +140,6 @@ AWAY = {
     ("data", "drift"): "0.0",
     ("data", "noise_sigma"): "0.05",
     ("data", "seed"): "9",
-    ("data", "max_retries"): "10",
     ("loss", "gt_loss"): "soft_miou",
     ("loss", "distill_loss"): "kl",
     ("loss", "alpha1"): "2.0",

@@ -135,7 +135,6 @@ class TestSynthConfig:
             ("val_count", -1, "split counts must be non-negative"),
             ("drift", -0.1, "drift and noise_sigma must be non-negative"),
             ("noise_sigma", -0.1, "drift and noise_sigma must be non-negative"),
-            ("max_retries", 0, "max_retries must be >= 1"),
         ],
     )
     def test_negative_field_rejected(self, field, value, message):
@@ -166,7 +165,7 @@ class TestRenderSample:
         assert s.mask.sum() == 0
 
     def test_infeasible_fraction_raises(self):
-        cfg = small_cfg(change_min=0.95, change_max=1.0, max_retries=10)
+        cfg = small_cfg(change_min=0.95, change_max=1.0)
         with pytest.raises(ConfigError, match="bounds are infeasible"):
             D.render_sample(cfg, np.random.default_rng(3))
 

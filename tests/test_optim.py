@@ -166,10 +166,33 @@ class TestAdamW:
         for name in ("data", "m", "v"):
             assert np.array_equal(getattr(fresh, name), getattr(state, name))
 
-    def test_bad_betas_rejected(self):
-        _, state = one_param(1.0, grad=1.0)
-        with pytest.raises(ConfigError):
-            optim.adamw_step(state, lr=0.1, beta1=1.0)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_subnormal_first_moment_flushed_at_the_arena_dtype(self, dtype):
+        # Gradient 1 at step 1, then 0 for 900 steps: m falls to about
+        # 6.6e-43, subnormal in float32 and normal in float64.  A float32
+        # arena flushes it to zero; the weight's bits still equal those of
+        # the textbook update without any flush, written here.
+        def textbook(steps, lr, weight_decay=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+            p, m, v = dtype(1.0), dtype(0.0), dtype(0.0)
+            for t in range(1, steps + 1):
+                g = dtype(1.0 if t == 1 else 0.0)
+                m = m * beta1 + g * (1.0 - beta1)
+                v = v * beta2 + g * g * (1.0 - beta2)
+                p = p - (m / (1.0 - beta1**t) / (np.sqrt(v / (1.0 - beta2**t)) + eps) + p * weight_decay) * lr
+            return p, m
+
+        params = {"w": Tensor(np.ones((1, 1, 1, 1), dtype))}
+        state = optim.init_state(params)
+        for t in range(1, 902):
+            params["w"].grad[...] = 1.0 if t == 1 else 0.0
+            optim.adamw_step(state, lr=1e-3)
+        p, m = textbook(901, 1e-3)
+        assert state.data.tobytes() == np.array([p], dtype).tobytes()
+        tiny = np.finfo(dtype).tiny
+        if dtype is np.float32:
+            assert 0.0 < m < tiny and state.m[0] == 0.0
+        else:
+            assert m >= tiny and state.m.tobytes() == np.array([m], dtype).tobytes()
 
 
 class TestArena:

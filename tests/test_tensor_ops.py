@@ -473,6 +473,25 @@ class TestPointwise:
         assert out.data[0, 0, 0, 4] == pytest.approx(1.0)
         assert np.isfinite(out.data).all()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bit_equal_to_the_sign_masked_formula(self, dtype):
+        # The formula sigmoid replaced: index each sign's entries and take
+        # the form whose exp cannot overflow.
+        def masked(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        rng = np.random.default_rng(43)
+        info = np.finfo(dtype)
+        edges = np.array([0.0, info.smallest_subnormal, 88.7, 103.9, 745.0, info.max], dtype)
+        scaled = rng.standard_normal(1_000_000) * 10.0 ** rng.uniform(-3.0, 3.0, 1_000_000)
+        z = np.concatenate([edges, -edges, scaled.astype(dtype)]).reshape(1, 1, 1, -1)
+        assert T.sigmoid(T.Tensor(z)).data.tobytes() == masked(z).tobytes()
+
     def test_elementwise_dispatch(self):
         x = rand((1, 1, 2, 2), 17)
         np.testing.assert_array_equal(T.elementwise(T.Tensor(x), "relu").data, np.maximum(x, 0))
