@@ -23,7 +23,7 @@ from .config import SCHEMA, RunConfig, effective_text, load_run_config
 from .data import SPLITS, generate_synthetic_dataset, load_index, load_sample
 from .errors import ChangeDetError, ConfigError, DataError
 from .gradcheck import DEFAULT_INSTANCES, check_all, check_op
-from .losses import LossSelection, LossWeights
+from .losses import LossConfig
 from .metrics import evaluate
 from .model import ChangeDetector, predict_mask, preset
 from .netpbm import load_ppm, save_pgm
@@ -104,7 +104,7 @@ def cmd_train(args, out: _Output) -> int:
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     teacher = make_teacher(train_cfg)
     student = ChangeDetector(rc.model, seed=train_cfg.seed)
-    result = fit(student, teacher, args.data, train_cfg, log=out.line)
+    result = fit(student, teacher, args.data, train_cfg, log=out.line, loss=rc.loss)
     save_checkpoint(result.model, ckpt)
     best = result.logs[result.best_epoch - 1]
     out.line(f"checkpoint = {ckpt}")
@@ -185,27 +185,21 @@ def cmd_bench(args, out: _Output) -> int:
 
 
 def _ablation_rows(preset_name: str, model_preset: str):
-    """Each row: (label, model config, loss weights, loss selection, teacher mode)."""
+    """Each row: (label, model config, loss config, teacher mode)."""
     if preset_name == "components":
         base = preset(model_preset)
         return [
-            ("naive", replace(base, fusion_mode="naive"), LossWeights(1.0, 0.0), LossSelection(), "none"),
-            ("emff", base, LossWeights(1.0, 0.0), LossSelection(), "none"),
-            ("emff+bce", base, LossWeights(1.0, 0.5), LossSelection(), "none"),
-            ("emff+bce+mae", base, LossWeights(1.0, 0.5, 1.0), LossSelection("ce", "mae"), "oracle"),
+            ("naive", replace(base, fusion_mode="naive"), LossConfig(alpha2=0.0), "none"),
+            ("emff", base, LossConfig(alpha2=0.0), "none"),
+            ("emff+bce", base, LossConfig(), "none"),
+            ("emff+bce+mae", base, LossConfig(), "oracle"),
         ]
     if preset_name == "losses":
         base = preset(model_preset)
         pairs = [("ce", "kl"), ("ce", "mse"), ("soft_miou", "mae"), ("ce", "mae")]
-        return [
-            (f"{gt}+{distill}", base, LossWeights(1.0, 0.5, 1.0), LossSelection(gt, distill), "oracle")
-            for gt, distill in pairs
-        ]
+        return [(f"{gt}+{distill}", base, LossConfig(gt, distill), "oracle") for gt, distill in pairs]
     if preset_name == "backbones":
-        return [
-            (name, preset(name), LossWeights(1.0, 0.5, 1.0), LossSelection("ce", "mae"), "oracle")
-            for name in ("nano", "tiny", "small")
-        ]
+        return [(name, preset(name), LossConfig(), "oracle") for name in ("nano", "tiny", "small")]
     raise ConfigError(f"unknown ablation preset {preset_name!r}")
 
 
@@ -227,10 +221,10 @@ def cmd_ablate(args, out: _Output) -> int:
     sample = load_sample(test_index, test_index.ids[0])
     size = (sample.pre.shape[1], sample.pre.shape[2])
     out.line(f"{'row':<14} {'iou':>8} {'f1':>8} {'oa':>8} {'params':>10} {'flops':>14}")
-    for label, model_cfg, weights, selection, teacher_mode in rows:
-        train_cfg = replace(base_train, weights=weights, selection=selection, teacher_mode=teacher_mode)
+    for label, model_cfg, loss, teacher_mode in rows:
+        train_cfg = replace(base_train, teacher_mode=teacher_mode)
         student = ChangeDetector(model_cfg, seed=train_cfg.seed)
-        fit(student, make_teacher(train_cfg), args.data, train_cfg)
+        fit(student, make_teacher(train_cfg), args.data, train_cfg, loss=loss)
         report = evaluate(student, test_index, batch_size=train_cfg.batch_size)
         params = param_counts(student.params).total
         flops = count_flops(model_cfg, size).total

@@ -5,10 +5,11 @@ documented default, unknown sections or keys rejected outright so a typo
 cannot silently fall back to a default.  `effective_text` renders a config
 back to file syntax with every default resolved; parsing that text
 reproduces the config exactly, which is what makes the echoed header of
-each command sufficient to rerun it.  The config dataclasses are the
-schema: the key table `SCHEMA` is derived from their fields, and parsing
-and rendering both read it.  A checkpoint embeds its [model] block as this
-same text and reads it with `parse_run_config`, so there is one grammar.
+each command sufficient to rerun it.  Each section is one flat dataclass,
+a field of `RunConfig`, and its keys are that dataclass's fields: `SCHEMA`
+is read off them, and parsing and rendering both read it.  A checkpoint
+embeds its [model] block as this same text and reads it with
+`parse_run_config`, so there is one grammar.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .data import SynthConfig
 from .errors import ConfigError
 from .fileio import read_input
+from .losses import LossConfig
 from .model import ModelConfig, preset
 from .train import TrainConfig
 
@@ -30,37 +32,13 @@ class RunConfig:
     model: ModelConfig = ModelConfig()
     train: TrainConfig = TrainConfig()
     data: SynthConfig = SynthConfig()
+    loss: LossConfig = LossConfig()
 
 
-def _get(config, path: tuple):
-    for name in path:
-        config = getattr(config, name)
-    return config
-
-
-# Each section's parts of RunConfig, in rendering order.  [model] also
-# accepts `preset`, which picks the base model config and is never rendered.
-_SECTIONS = {
-    "model": (("model",),),
-    "train": (("train",), ("train", "augment")),
-    "data": (("data",),),
-    "loss": (("train", "selection"), ("train", "weights")),
-}
-
-
-def _keys(parts: tuple[tuple, ...]):
-    """(key, path) of each field of `parts` in declaration order; nested dataclasses are parts, not keys."""
-    for part in parts:
-        config = _get(RunConfig(), part)
-        for f in fields(config):
-            if not is_dataclass(getattr(config, f.name)):
-                yield f.metadata.get("key", f.name), part + (f.name,)
-
-
-# Per section, in rendering order: each key (its field's name, or the field's
-# metadata["key"]) and its path into RunConfig.  A value's type is the type
-# of its default.
-SCHEMA: dict[str, tuple[tuple[str, tuple], ...]] = {s: tuple(_keys(parts)) for s, parts in _SECTIONS.items()}
+# Each section's keys in rendering order: the fields of its dataclass, whose
+# default's type is a value's type.  [model] also accepts `preset`, which
+# picks the base model config and is never rendered.
+SCHEMA: dict[str, tuple[str, ...]] = {s.name: tuple(f.name for f in fields(s.default)) for s in fields(RunConfig)}
 
 
 def _to_int(section: str, key: str, raw: str) -> int:
@@ -93,28 +71,18 @@ def _to_int_tuple(section: str, key: str, raw: str) -> tuple[int, ...]:
     return tuple(_to_int(section, key, part.strip()) for part in raw.split(","))
 
 
-# configparser has stripped every value, so a string (or a None default's path) is taken as it is.
+# configparser has stripped every value, so a string (or a None default's key) is taken as it is.
 _CONVERTERS = {bool: _to_bool, int: _to_int, float: _to_float, tuple: _to_int_tuple}
 
 
-def _collect(section: str, items: dict[str, str]) -> dict[tuple, object]:
-    """One section's raw values, converted and keyed by their path into RunConfig."""
-    paths = dict(SCHEMA[section])
-    unknown = sorted(set(items) - set(paths))
+def _collect(section: str, items: dict[str, str]) -> dict[str, object]:
+    """One section's raw values, converted to the types of its fields."""
+    unknown = sorted(set(items) - set(SCHEMA[section]))
     if unknown:
         raise ConfigError(f"unknown keys in [{section}]: {unknown}")
-    convert = {key: _CONVERTERS.get(type(_get(RunConfig(), path))) for key, path in paths.items()}
-    return {paths[key]: convert[key](section, key, raw) if convert[key] else raw for key, raw in items.items()}
-
-
-def _build(config, path: tuple, values: dict[tuple, object]):
-    """Dataclass `config` at `path` rebuilt with `values`, children first, so each validates once."""
-    changes = {}
-    for f in fields(config):
-        here = path + (f.name,)
-        old = getattr(config, f.name)
-        changes[f.name] = _build(old, here, values) if is_dataclass(old) else values.get(here, old)
-    return replace(config, **changes)
+    default = getattr(RunConfig(), section)
+    convert = {key: _CONVERTERS.get(type(getattr(default, key))) for key in items}
+    return {key: convert[key](section, key, raw) if convert[key] else raw for key, raw in items.items()}
 
 
 def parse_run_config(text: str) -> RunConfig:
@@ -135,8 +103,8 @@ def parse_run_config(text: str) -> RunConfig:
         items = dict(parser.items(section))
         if section == "model" and "preset" in items:
             base = RunConfig(model=preset(items.pop("preset")))
-        values.update(_collect(section, items))
-    return _build(base, (), values)
+        values[section] = _collect(section, items)
+    return replace(base, **{s: replace(getattr(base, s), **changes) for s, changes in values.items()})
 
 
 def load_run_config(path) -> RunConfig:
@@ -147,8 +115,8 @@ def load_run_config(path) -> RunConfig:
 
 
 def _lines(config: RunConfig, section: str):
-    for key, path in SCHEMA[section]:
-        value = _get(config, path)
+    for key in SCHEMA[section]:
+        value = getattr(getattr(config, section), key)
         if isinstance(value, bool):
             value = "on" if value else "off"
         elif isinstance(value, tuple):

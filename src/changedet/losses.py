@@ -8,7 +8,8 @@ reductions, making their magnitude independent of batch and image size.
 Ground truth enters as a plain integer/float array, never as a tensor, so
 no gradient can reach it.  Teacher predictions are likewise taken as raw
 arrays (or tensors whose .data is read once): the teacher is frozen and the
-distillation gradient flows into the student side only.
+distillation gradient flows into the student side only.  `LossConfig`, the
+run config's [loss] section, picks the terms and their weights.
 """
 
 from __future__ import annotations
@@ -26,32 +27,24 @@ GT_LOSSES = ("ce", "soft_miou")
 
 
 @dataclass(frozen=True)
-class LossWeights:
-    """Mixing coefficients: total = alpha1*gt + alpha2*boundary + alpha3*distill."""
-
-    alpha1: float = 1.0
-    alpha2: float = 0.5
-    alpha3: float = 1.0
-
-    def __post_init__(self):
-        for name in ("alpha1", "alpha2", "alpha3"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ConfigError(f"LossWeights.{name} must be finite and non-negative, got {v}")
-
-
-@dataclass(frozen=True)
-class LossSelection:
-    """Which ground-truth term and which distillation term to use."""
+class LossConfig:
+    """The `[loss]` section: the terms, mixed as total = alpha1*gt + alpha2*boundary + alpha3*distill."""
 
     gt_loss: str = "ce"
     distill_loss: str = "mae"
+    alpha1: float = 1.0
+    alpha2: float = 0.5
+    alpha3: float = 1.0
 
     def __post_init__(self):
         if self.gt_loss not in GT_LOSSES:
             raise ConfigError(f"gt_loss must be one of {GT_LOSSES}, got {self.gt_loss!r}")
         if self.distill_loss not in DISTILL_LOSSES:
             raise ConfigError(f"distill_loss must be one of {tuple(DISTILL_LOSSES)}, got {self.distill_loss!r}")
+        for name in ("alpha1", "alpha2", "alpha3"):
+            v = getattr(self, name)
+            if not np.isfinite(v) or v < 0:
+                raise ConfigError(f"{name} must be finite and non-negative, got {v}")
 
 
 def _check_gt(gt: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
@@ -189,24 +182,24 @@ def compute_losses(
     boundary: T.Tensor,
     gt: np.ndarray,
     teacher_probs,
-    weights: LossWeights,
-    selection: LossSelection,
+    loss: LossConfig,
 ) -> tuple[T.Tensor, dict[str, float]]:
     """Assemble the training objective for one batch.
 
-    Returns the total alpha1*gt + alpha2*boundary + alpha3*distill as a
-    tensor, plus a plain-float breakdown for logging.
+    Returns the total alpha1*gt + alpha2*boundary + alpha3*distill of the
+    terms and weights `loss` names as a tensor, plus a plain-float
+    breakdown for logging.
     The distillation term is added exactly when teacher_probs is not None.
     """
-    if selection.gt_loss == "ce":
+    if loss.gt_loss == "ce":
         gt_part = ce_loss(logits, gt)
     else:
         gt_part = soft_miou_loss(probs, gt)
     boundary_part = bce_loss(boundary, gt)
-    distill_part = None if teacher_probs is None else DISTILL_LOSSES[selection.distill_loss](probs, teacher_probs)
-    total = T.add(T.scale(gt_part, weights.alpha1), T.scale(boundary_part, weights.alpha2))
+    distill_part = None if teacher_probs is None else DISTILL_LOSSES[loss.distill_loss](probs, teacher_probs)
+    total = T.add(T.scale(gt_part, loss.alpha1), T.scale(boundary_part, loss.alpha2))
     if distill_part is not None:
-        total = T.add(total, T.scale(distill_part, weights.alpha3))
+        total = T.add(total, T.scale(distill_part, loss.alpha3))
     breakdown = {
         "gt": gt_part.item(),
         "boundary": boundary_part.item(),

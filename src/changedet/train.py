@@ -5,8 +5,8 @@ stand-in) predicts outside any gradient tape; a run has a distillation term
 exactly when it has a teacher, and only the student's parameters ever receive
 gradients.  The whole run is a pure function of (seed, config, dataset):
 batch order, augmentation draws, and parameter updates all derive from the
-config seed.  The config only switches augmentation on or off; its
-transforms and their draw ranges are the constants beside `augment_pair`.
+config seed.  `TrainConfig.augment` only switches augmentation on or off;
+its transforms and their draw ranges are the constants beside `augment_pair`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import BitemporalSample, batch_iter, load_index
 from .errors import ConfigError, DataError, NumericError
-from .losses import LossSelection, LossWeights, compute_losses
+from .losses import LossConfig, compute_losses
 from .metrics import evaluate
 from .model import ChangeDetector
 from .optim import adamw_step, init_state, lr_at
@@ -26,13 +26,6 @@ from .tensor import Tape, resize_bilinear_array
 
 TEACHER_MODES = ("checkpoint", "oracle", "none")
 ORACLE_SMOOTHING = 0.1  # label smoothing of the oracle teacher's one-hot targets
-
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    """The augmentation switch; the transforms and their draws are the constants beside `augment_pair`."""
-
-    enabled: bool = field(default=True, metadata={"key": "augment"})
 
 
 @dataclass(frozen=True)
@@ -44,11 +37,9 @@ class TrainConfig:
     weight_decay: float = 0.01
     epochs: int = 20
     seed: int = 0
-    weights: LossWeights = LossWeights()
-    selection: LossSelection = LossSelection()
-    augment: AugmentConfig = AugmentConfig()
     teacher_mode: str = "none"
     teacher_checkpoint: str | None = None
+    augment: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -223,12 +214,14 @@ def _augment_batch(pre, post, mask, rng):
     return tuple(np.stack([getattr(s, name) for s in outs]) for name in ("pre", "post", "mask"))
 
 
-def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=None) -> FitResult:
+def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=None,
+        loss: LossConfig = LossConfig()) -> FitResult:
     """Train the student; returns it holding the best-validation-IoU weights.
 
-    One optimizer step per batch; the LR decays linearly over all steps of
-    the run.  The per-epoch log records the training loss (sample-weighted
-    mean over the epoch) with its three parts and the validation metrics.
+    `config` is the `[train]` section and `loss` the `[loss]` one.  One
+    optimizer step per batch; the LR decays linearly over all steps of the
+    run.  The per-epoch log records the training loss (sample-weighted mean
+    over the epoch) with its three parts and the validation metrics.
     A non-finite op output aborts with a NumericError naming epoch, batch, op and stage.
     """
     train_index = load_index(data_root, "train")
@@ -248,16 +241,14 @@ def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=No
         seen = 0
         batches = batch_iter(train_index, config.batch_size, seed=config.seed, shuffle=True, epoch=epoch)
         for batch_idx, (pre, post, mask, _ids) in enumerate(batches):
-            if config.augment.enabled:
+            if config.augment:
                 pre, post, mask = _augment_batch(pre, post, mask, aug_rng)
             teacher_probs = None if teacher is None else teacher.predict(pre, post, mask)
             try:
                 with Tape() as tape:
                     out = student.forward(pre, post)
                     total, parts = compute_losses(
-                        out.logits, out.probs, out.boundary, mask[:, None],
-                        teacher_probs, config.weights, config.selection,
-                    )
+                        out.logits, out.probs, out.boundary, mask[:, None], teacher_probs, loss)
                     tape.backward(total)
                 adamw_step(state, lr_at(step, total_steps, config.base_lr), weight_decay=config.weight_decay)
             except NumericError as exc:

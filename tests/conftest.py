@@ -10,7 +10,7 @@ from changedet.checkpoint import save_checkpoint
 from changedet.data import SynthConfig, generate_synthetic_dataset
 from changedet.errors import ConfigError, DataError, FormatError
 from changedet.model import ChangeDetector, preset
-from changedet.train import AugmentConfig, TrainConfig, fit, make_teacher
+from changedet.train import TrainConfig, fit, make_teacher
 
 E2E_DATA = SynthConfig(
     image_size=64,
@@ -27,7 +27,7 @@ E2E_TRAIN = TrainConfig(
     epochs=20,
     seed=0,
     teacher_mode="oracle",
-    augment=AugmentConfig(enabled=False),
+    augment=False,
 )
 
 

@@ -31,7 +31,7 @@ from changedet.model import (
 from changedet.optim import lr_at
 from changedet.profiling import count_flops, param_counts
 from changedet.tensor import FlopCounter, Tensor
-from changedet.train import AugmentConfig, TrainConfig, fit, make_teacher
+from changedet.train import TrainConfig, fit, make_teacher
 
 
 def _verdict(num: int, text: str, ok: bool):
@@ -199,7 +199,7 @@ def test_criterion_06_teacher_isolation(micro_root, tmp_path):
     config = TrainConfig(
         batch_size=2, epochs=1, seed=0,
         teacher_mode="checkpoint", teacher_checkpoint=str(ckpt),
-        augment=AugmentConfig(enabled=False),
+        augment=False,
     )
     teacher = make_teacher(config)
     before = {name: p.data.tobytes() for name, p in teacher.model.params.items()}

@@ -15,6 +15,7 @@ from changedet.cli import main
 from changedet.config import parse_run_config
 from changedet.data import SynthConfig, generate_synthetic_dataset, load_index, sample_paths
 from changedet.gradcheck import OpReport
+from changedet.losses import LossConfig
 from changedet.metrics import ConfusionCounts, confusion_from_masks
 from changedet.model import ChangeDetector, preset
 from changedet.netpbm import load_pgm, save_ppm
@@ -170,7 +171,7 @@ def test_train_echo_parses_back(nano_run):
     assert rc.model == preset("nano")
     assert rc.train.epochs == 2
     assert rc.train.batch_size == 2
-    assert not rc.train.augment.enabled
+    assert not rc.train.augment
 
 
 def test_train_echo_shows_an_argument_with_a_line_break_by_repr(capsys, tmp_path):
@@ -203,6 +204,18 @@ def test_train_oracle_teacher_into_a_new_directory(capsys, nano_run, tmp_path):
     epoch_lines = [ln for ln in out.splitlines() if ln.startswith("epoch=")]
     assert len(epoch_lines) == 2 and not any(" distill=0.0 " in ln for ln in epoch_lines)
     assert load_checkpoint(ckpt).config == preset("nano")
+
+
+def test_train_loss_section_reaches_fit(capsys, data_root, tmp_path):
+    # alpha1 = alpha2 = 0 leave 0*gt + 0*boundary + 1*distill, which is distill exactly
+    cfg = tmp_path / "distill.cfg"
+    cfg.write_text(TRAIN_CFG_TEXT + "\n[loss]\nalpha1 = 0\nalpha2 = 0\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "train", "--config", cfg, "--data", data_root, "--out", tmp_path / "d.ckpt",
+                           "--oracle-teacher")
+    assert code == 0
+    logs = [dict(kv.split("=") for kv in ln.split()) for ln in out.splitlines() if ln.startswith("epoch=")]
+    assert len(logs) == 2
+    assert all(log["train_loss"] == log["distill"] != "0.0" for log in logs)
 
 
 @pytest.mark.parametrize("case", ["file-parent", "directory"])
@@ -474,11 +487,19 @@ def test_ablate_backbones_table(capsys, data_root):
     assert rows["nano"].params < rows["tiny"].params < rows["small"].params
 
 
+# Each ablation row's [loss] section, in row order.
+ABLATION_LOSSES = {
+    "components": [LossConfig(alpha2=0.0), LossConfig(alpha2=0.0), LossConfig(), LossConfig()],
+    "losses": [LossConfig("ce", "kl"), LossConfig("ce", "mse"), LossConfig("soft_miou", "mae"), LossConfig("ce", "mae")],
+    "backbones": [LossConfig()] * 3,
+}
+
+
 def test_ablate_reads_training_values_from_the_config(capsys, monkeypatch, data_root, tmp_path):
     import changedet.cli as cli
 
     trained = []
-    monkeypatch.setattr(cli, "fit", lambda student, teacher, data, cfg: trained.append(cfg))
+    monkeypatch.setattr(cli, "fit", lambda student, teacher, data, cfg, loss: trained.append((cfg, loss)))
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[train]\nepochs = 2\nbatch_size = 2\nseed = 7\n", encoding="utf-8")
     argv = ["ablate", "--data", data_root, "--preset", "components", "--model-preset", "nano"]
@@ -492,7 +513,19 @@ def test_ablate_reads_training_values_from_the_config(capsys, monkeypatch, data_
         assert code == 0
         train = echoed_config(out).train
         assert (train.epochs, train.batch_size, train.seed) == expected
-        assert {(t.epochs, t.batch_size, t.seed) for t in trained} == {expected}
+        assert {(t.epochs, t.batch_size, t.seed) for t, _ in trained} == {expected}
+        assert [loss for _, loss in trained] == ABLATION_LOSSES["components"]
+
+
+@pytest.mark.parametrize("ablation", ["losses", "backbones"])
+def test_ablate_gives_fit_each_rows_loss(capsys, monkeypatch, data_root, ablation):
+    import changedet.cli as cli
+
+    losses = []
+    monkeypatch.setattr(cli, "fit", lambda student, teacher, data, cfg, loss: losses.append(loss))
+    code, _, _ = run_cli(capsys, "ablate", "--data", data_root, "--preset", ablation, "--model-preset", "nano")
+    assert code == 0
+    assert losses == ABLATION_LOSSES[ablation]
 
 
 # One file for every command, as the README's run-config section shows.
@@ -512,8 +545,9 @@ def test_config_echo_names_the_sections_the_command_never_reads(capsys, monkeypa
                                                                 command, unread):
     import changedet.cli as cli
 
-    if command == "ablate":
-        monkeypatch.setattr(cli, "fit", lambda student, teacher, data, cfg: None)
+    losses = []
+    if command == "ablate":  # the rows set the loss; the file's [loss] is not read
+        monkeypatch.setattr(cli, "fit", lambda student, teacher, data, cfg, loss: losses.append(loss))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(FOUR_SECTION_TEXT, encoding="utf-8")
     argv = {
@@ -527,6 +561,8 @@ def test_config_echo_names_the_sections_the_command_never_reads(capsys, monkeypa
         assert code == 0
         assert [ln for ln in out.splitlines() if ln.startswith("# not read:")] == want
         echoed_config(out)
+        assert losses == (ABLATION_LOSSES["components"] if command == "ablate" else [])
+        losses.clear()
 
 
 def test_ablate_needs_test_split(capsys, no_test_root):

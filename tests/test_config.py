@@ -1,8 +1,7 @@
 """Run-config files: strict keys, resolved defaults, exact round-trips."""
 
-import functools
 import re
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -10,9 +9,9 @@ import pytest
 from changedet.config import SCHEMA, RunConfig, effective_text, load_run_config, parse_run_config
 from changedet.data import SynthConfig
 from changedet.errors import ConfigError, DataError
-from changedet.losses import LossSelection, LossWeights
+from changedet.losses import LossConfig
 from changedet.model import preset
-from changedet.train import AugmentConfig, TrainConfig
+from changedet.train import TrainConfig
 
 
 def test_empty_text_gives_defaults():
@@ -37,9 +36,7 @@ def test_customised_config_round_trips():
             seed=7,
             teacher_mode="checkpoint",
             teacher_checkpoint="/tmp/teacher.npz",
-            augment=AugmentConfig(enabled=False),
-            weights=LossWeights(alpha1=1.0, alpha2=0.0, alpha3=2.0),
-            selection=LossSelection(gt_loss="soft_miou", distill_loss="kl"),
+            augment=False,
         ),
         data=SynthConfig(
             image_size=96,
@@ -54,6 +51,7 @@ def test_customised_config_round_trips():
             noise_sigma=0.01,
             seed=3,
         ),
+        loss=LossConfig(gt_loss="soft_miou", distill_loss="kl", alpha1=1.0, alpha2=0.0, alpha3=2.0),
     )
     assert parse_run_config(effective_text(rc)) == rc
 
@@ -148,7 +146,7 @@ AWAY = {
 }
 
 
-@pytest.mark.parametrize("section,key", [(s, k) for s, entries in SCHEMA.items() for k, _ in entries])
+@pytest.mark.parametrize("section,key", [(s, k) for s, keys in SCHEMA.items() for k in keys])
 def test_every_key_round_trips_away_from_its_default(section, key):
     rc = parse_run_config(f"[{section}]\n{key} = {AWAY[section, key]}\n")
     assert rc != RunConfig()
@@ -158,19 +156,14 @@ def test_every_key_round_trips_away_from_its_default(section, key):
     assert parse_run_config(effective_text(rc)) == rc
 
 
-def test_every_key_names_one_field():
-    # A key is its field's name or the field's metadata["key"], and its path
-    # steps through attributes only; `augment` is the one key spelled apart.
-    respelled = []
-    for entries in SCHEMA.values():
-        for key, path in entries:
-            assert all(isinstance(step, str) for step in path), path
-            owner = functools.reduce(getattr, path[:-1], RunConfig())
-            field = {f.name: f for f in fields(owner)}[path[-1]]
-            assert key == field.metadata.get("key", field.name)
-            if key != field.name:
-                respelled.append((key, field.name))
-    assert respelled == [("augment", "enabled")]
+def test_each_section_is_one_flat_dataclass():
+    # A section's keys are the fields of the one dataclass RunConfig holds
+    # for it, in order; none of those fields nests another dataclass.
+    assert list(SCHEMA) == [f.name for f in fields(RunConfig)]
+    for section in fields(RunConfig):
+        names = [f.name for f in fields(section.default)]
+        assert not [n for n in names if is_dataclass(getattr(section.default, n))], section.name
+        assert SCHEMA[section.name] == tuple(names)
 
 
 def test_every_truncation_and_deletion_raises_only_config_error():
@@ -259,7 +252,7 @@ def test_bad_bool_rejected():
 @pytest.mark.parametrize("raw,expected", [("on", True), ("yes", True), ("true", True), ("1", True), ("off", False), ("no", False), ("false", False), ("0", False)])
 def test_bool_spellings(raw, expected):
     rc = parse_run_config(f"[train]\naugment = {raw}\n")
-    assert rc.train.augment.enabled is expected
+    assert rc.train.augment is expected
 
 
 def test_duplicate_key_rejected():
@@ -278,7 +271,7 @@ def test_value_continued_onto_an_indented_line_rejected():
         parse_run_config("[train]\nteacher_mode = checkpoint\nteacher_checkpoint = a\n  b\n")
 
 
-@pytest.mark.parametrize("section,key", [(s, k) for s, entries in SCHEMA.items() for k, _ in entries])
+@pytest.mark.parametrize("section,key", [(s, k) for s, keys in SCHEMA.items() for k in keys])
 def test_every_key_refuses_a_continued_value(section, key):
     # configparser joins the indented line onto the value: a list breaks
     # after a comma, any other value repeats; teacher_checkpoint's second
@@ -305,10 +298,16 @@ def test_int_tuple_tolerates_spaces():
     assert rc.model.encoder_widths == (8, 16, 32, 64)
 
 
-def test_loss_section_feeds_train_config():
+def test_loss_section_feeds_loss_config():
     rc = parse_run_config("[loss]\ngt_loss = soft_miou\ndistill_loss = mse\nalpha2 = 0.0\n")
-    assert rc.train.selection == LossSelection(gt_loss="soft_miou", distill_loss="mse")
-    assert rc.train.weights == LossWeights(alpha1=1.0, alpha2=0.0, alpha3=1.0)
+    assert rc.loss == LossConfig(gt_loss="soft_miou", distill_loss="mse", alpha1=1.0, alpha2=0.0, alpha3=1.0)
+    assert rc.train == TrainConfig()
+
+
+@pytest.mark.parametrize("key", ["alpha1", "alpha2", "alpha3"])
+def test_bad_loss_weight_names_its_key(key):
+    with pytest.raises(ConfigError, match=rf"^{key} must be finite and non-negative, got -1.0$"):
+        parse_run_config(f"[loss]\n{key} = -1\n")
 
 
 def test_field_validation_still_applies():

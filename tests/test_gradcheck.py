@@ -7,7 +7,7 @@ from changedet import gradcheck as G
 from changedet import model as M
 from changedet import tensor as T
 from changedet.errors import ConfigError
-from changedet.losses import DISTILL_LOSSES, GT_LOSSES, LossSelection, LossWeights, compute_losses
+from changedet.losses import DISTILL_LOSSES, GT_LOSSES, LossConfig, compute_losses
 from changedet.model import FUSION_MODES
 
 
@@ -74,9 +74,9 @@ def test_registry_covers_primitives_and_losses():
         assert required in names
 
 
-def _network_loss(config, params, pre, post, gt, teacher, selection):
+def _network_loss(config, params, pre, post, gt, teacher, loss_config):
     out = M.ChangeDetector(config, params=params).forward(pre, post)
-    total, _ = compute_losses(out.logits, out.probs, out.boundary, gt, teacher, LossWeights(), selection)
+    total, _ = compute_losses(out.logits, out.probs, out.boundary, gt, teacher, loss_config)
     return total
 
 
@@ -99,7 +99,7 @@ NETWORK_BOUND = 1e-4
 @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
 def test_whole_network_directional_derivative_matches_central_difference(fusion_mode, gt_loss, distill_loss):
     config = M.preset("nano", fusion_mode=fusion_mode)
-    selection = LossSelection(gt_loss=gt_loss, distill_loss=distill_loss or "mae")
+    loss_config = LossConfig(gt_loss=gt_loss, distill_loss=distill_loss or "mae")
     worst = 0.0
     for seed in (0, 1):
         rng = np.random.default_rng(seed)
@@ -109,7 +109,7 @@ def test_whole_network_directional_derivative_matches_central_difference(fusion_
         change = rng.uniform(0.05, 0.95, (2, 1, 32, 32))
         teacher = None if distill_loss is None else np.concatenate([1.0 - change, change], axis=1)
         with T.Tape() as tape:
-            loss = _network_loss(config, params, pre, post, gt, teacher, selection)
+            loss = _network_loss(config, params, pre, post, gt, teacher, loss_config)
         tape.backward(loss)
         for _ in range(4):
             direction = {name: rng.standard_normal(p.shape) for name, p in params.items()}
@@ -117,7 +117,7 @@ def test_whole_network_directional_derivative_matches_central_difference(fusion_
             moved = [
                 _network_loss(
                     config, {name: T.Tensor(p.data + sign * NETWORK_STEP * direction[name]) for name, p in params.items()},
-                    pre, post, gt, teacher, selection,
+                    pre, post, gt, teacher, loss_config,
                 ).item()
                 for sign in (1.0, -1.0)
             ]

@@ -223,7 +223,7 @@ class TestTotalLoss:
     """The total compute_losses returns: alpha1*gt + alpha2*boundary + alpha3*distill."""
 
     @staticmethod
-    def _total(weights, selection, logits=None, teacher=True):
+    def _total(loss, logits=None, teacher=True):
         # Zero logits give p = 0.5 everywhere: ce and the bce of that map are
         # both ln 2, and mae against a (0.3, 0.7) teacher is 0.2.
         logits = T.Tensor(np.zeros((1, 2, 4, 4)) if logits is None else logits)
@@ -231,50 +231,49 @@ class TestTotalLoss:
         probs = T.softmax_channel(logits)
         boundary = T.channel_max_pool(probs, 1)
         teacher_probs = np.concatenate([np.full((1, 1, 4, 4), 0.3), np.full((1, 1, 4, 4), 0.7)], axis=1)
-        return L.compute_losses(logits, probs, boundary, gt, teacher_probs if teacher else None, weights, selection)
+        return L.compute_losses(logits, probs, boundary, gt, teacher_probs if teacher else None, loss)
 
     def test_weighted_sum_hand_value(self):
-        total, parts = self._total(L.LossWeights(1.0, 0.5, 1.0), L.LossSelection("ce", "mae"))
+        total, parts = self._total(L.LossConfig("ce", "mae", 1.0, 0.5, 1.0))
         assert total.item() == pytest.approx(1.5 * np.log(2.0) + 0.2, rel=1e-12)
         assert parts["total"] == total.item()
 
     def test_alpha3_zero_equals_no_teacher(self):
         logits = np.random.default_rng(61).normal(size=(1, 2, 4, 4))
-        a = self._total(L.LossWeights(1.0, 0.5, 0.0), L.LossSelection("ce", "mae"), logits)[0].item()
-        c = self._total(L.LossWeights(1.0, 0.5, 1.0), L.LossSelection("ce", "mae"), logits, teacher=False)[0].item()
+        a = self._total(L.LossConfig("ce", "mae", 1.0, 0.5, 0.0), logits)[0].item()
+        c = self._total(L.LossConfig("ce", "mae", 1.0, 0.5, 1.0), logits, teacher=False)[0].item()
         assert a == c
 
     def test_all_zero_parts_give_zero(self):
         # Zero weights make every weighted part zero.
-        total, _ = self._total(L.LossWeights(0.0, 0.0, 0.0), L.LossSelection("ce", "mae"))
+        total, _ = self._total(L.LossConfig("ce", "mae", 0.0, 0.0, 0.0))
         assert total.item() == 0.0
 
     def test_linear_in_each_alpha(self):
         logits = np.random.default_rng(62).normal(size=(1, 2, 4, 4))
-        selection = L.LossSelection("ce", "mae")
-        base, parts = self._total(L.LossWeights(1.0, 1.0, 1.0), selection, logits)
+        base, parts = self._total(L.LossConfig("ce", "mae", 1.0, 1.0, 1.0), logits)
         for i, key in enumerate(("gt", "boundary", "distill")):
             alphas = [1.0, 1.0, 1.0]
             alphas[i] = 2.0
-            double = self._total(L.LossWeights(*alphas), selection, logits)[0].item()
+            double = self._total(L.LossConfig("ce", "mae", *alphas), logits)[0].item()
             assert double - base.item() == pytest.approx(parts[key], rel=1e-9)
 
     def test_weight_validation(self):
         with pytest.raises(ConfigError):
-            L.LossWeights(-0.1, 0.5, 1.0)
+            L.LossConfig(alpha1=-0.1)
         with pytest.raises(ConfigError):
-            L.LossWeights(float("nan"), 0.5, 1.0)
+            L.LossConfig(alpha1=float("nan"))
 
     def test_selection_validation(self):
         with pytest.raises(ConfigError):
-            L.LossSelection(gt_loss="dice")
+            L.LossConfig(gt_loss="dice")
         with pytest.raises(ConfigError):
-            L.LossSelection(distill_loss="cosine")
+            L.LossConfig(distill_loss="cosine")
 
     def test_none_is_not_a_distillation_loss(self):
         # distillation is switched off by having no teacher, not by a loss name
         with pytest.raises(ConfigError, match=r"one of \('mae', 'mse', 'kl'\), got 'none'"):
-            L.LossSelection(distill_loss="none")
+            L.LossConfig(distill_loss="none")
 
 
 class TestComputeLosses:
@@ -287,7 +286,7 @@ class TestComputeLosses:
             probs = T.softmax_channel(logits)
             boundary = T.channel_max_pool(probs, 1)
             total, parts = L.compute_losses(
-                logits, probs, boundary, gt, teacher, L.LossWeights(), L.LossSelection("ce", "kl")
+                logits, probs, boundary, gt, teacher, L.LossConfig("ce", "kl")
             )
         tape.backward(total)
         want = parts["gt"] * 1.0 + parts["boundary"] * 0.5 + parts["distill"] * 1.0
@@ -303,7 +302,7 @@ class TestComputeLosses:
             probs = T.softmax_channel(logits)
             boundary = T.channel_max_pool(probs, 1)
             total, parts = L.compute_losses(
-                logits, probs, boundary, gt, None, L.LossWeights(), L.LossSelection("ce", "mae")
+                logits, probs, boundary, gt, None, L.LossConfig("ce", "mae")
             )
         assert parts["distill"] == 0.0
         assert parts["total"] == pytest.approx(parts["gt"] + 0.5 * parts["boundary"], rel=1e-6)

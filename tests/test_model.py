@@ -16,7 +16,7 @@ import pytest
 from changedet import model as M
 from changedet import tensor as T
 from changedet.errors import ConfigError, NumericError, ShapeError
-from changedet.losses import LossSelection, LossWeights, compute_losses
+from changedet.losses import LossConfig, compute_losses
 from changedet.profiling import param_counts
 from changedet.tensor import Tensor
 
@@ -423,7 +423,7 @@ class TestGraphOwnership:
             with T.Tape() as tape:
                 out = net.forward(pre, post)
                 total, _ = compute_losses(
-                    out.logits, out.probs, out.boundary, gt, out.probs.data, LossWeights(), LossSelection()
+                    out.logits, out.probs, out.boundary, gt, out.probs.data, LossConfig()
                 )
                 tape.backward(total)
             return weakref.ref(tape)

@@ -15,11 +15,10 @@ from changedet import train
 from changedet.checkpoint import save_checkpoint
 from changedet.data import BitemporalSample, SynthConfig, generate_synthetic_dataset, load_index
 from changedet.errors import ConfigError, DataError, NumericError
-from changedet.losses import LossSelection, LossWeights
+from changedet.losses import LossConfig
 from changedet.metrics import ConfusionCounts, MetricsReport, evaluate
 from changedet.model import ChangeDetector, parameter_names, preset
 from changedet.train import (
-    AugmentConfig,
     EpochLog,
     ModelTeacher,
     OracleTeacher,
@@ -30,8 +29,6 @@ from changedet.train import (
     make_teacher,
     oracle_teacher_predict,
 )
-
-NO_AUG = AugmentConfig(enabled=False)
 
 
 def _sample(seed=0, size=16):
@@ -63,9 +60,9 @@ class TestAugmentPair:
             raise RuntimeError("augment_pair was called")
 
         monkeypatch.setattr(train, "augment_pair", refuse)
-        off = TrainConfig(batch_size=4, epochs=1, seed=0, augment=NO_AUG)
+        off = TrainConfig(batch_size=4, epochs=1, seed=0, augment=False)
         fit(ChangeDetector(preset("nano"), seed=0), None, train_root, off)
-        on = TrainConfig(batch_size=4, epochs=1, seed=0, augment=AugmentConfig())
+        on = TrainConfig(batch_size=4, epochs=1, seed=0, augment=True)
         with pytest.raises(RuntimeError, match="augment_pair was called"):
             fit(ChangeDetector(preset("nano"), seed=0), None, train_root, on)
 
@@ -243,7 +240,7 @@ def test_fit_keeps_every_parameter_in_one_arena(train_root, tmp_path):
     # init_state binds each parameter once and nothing in fit rebinds one, so
     # after a run every .data, and apart every .grad, still tiles one flat buffer.
     model = ChangeDetector(preset("nano"), seed=5)
-    cfg = TrainConfig(batch_size=4, epochs=1, seed=5, augment=NO_AUG, teacher_mode="oracle")
+    cfg = TrainConfig(batch_size=4, epochs=1, seed=5, augment=False, teacher_mode="oracle")
     fit(model, make_teacher(cfg), train_root, cfg)
     names = parameter_names(model.config)
     assert list(model.params) == names
@@ -268,7 +265,7 @@ def test_fit_keeps_every_parameter_in_one_arena(train_root, tmp_path):
 class TestFit:
     def test_supervised_only_runs_and_logs(self, train_root):
         model = ChangeDetector(preset("nano"), seed=0)
-        cfg = TrainConfig(batch_size=4, epochs=2, seed=0, augment=NO_AUG)
+        cfg = TrainConfig(batch_size=4, epochs=2, seed=0, augment=False)
         result = fit(model, None, train_root, cfg)
         assert len(result.logs) == 2
         assert all(entry.distill == 0.0 for entry in result.logs)
@@ -277,7 +274,7 @@ class TestFit:
 
     def test_best_weights_reproduce_best_val_iou(self, train_root):
         model = ChangeDetector(preset("nano"), seed=1)
-        cfg = TrainConfig(batch_size=4, epochs=3, seed=1, augment=NO_AUG, teacher_mode="oracle")
+        cfg = TrainConfig(batch_size=4, epochs=3, seed=1, augment=False, teacher_mode="oracle")
         result = fit(model, make_teacher(cfg), train_root, cfg)
         assert result.best_val_iou == max(entry.val_iou for entry in result.logs)
         first_best = next(e.epoch for e in result.logs if e.val_iou == result.best_val_iou)
@@ -292,7 +289,7 @@ class TestFit:
         monkeypatch.setattr(train, "evaluate",
                             lambda *args: MetricsReport(iou=next(ious), f1=0.0, oa=0.0, counts=ConfusionCounts()))
         model = ChangeDetector(preset("nano"), seed=2)
-        cfg = TrainConfig(batch_size=4, epochs=3, seed=2, augment=NO_AUG, teacher_mode="oracle")
+        cfg = TrainConfig(batch_size=4, epochs=3, seed=2, augment=False, teacher_mode="oracle")
         snapshots = []
         arrays = {}
 
@@ -322,7 +319,7 @@ class TestFit:
         teacher = ModelTeacher(teacher_model)
         before = _params_digest(teacher_model)
         student = ChangeDetector(preset("nano"), seed=4)
-        cfg = TrainConfig(batch_size=4, epochs=1, seed=3, augment=NO_AUG)
+        cfg = TrainConfig(batch_size=4, epochs=1, seed=3, augment=False)
         fit(student, teacher, train_root, cfg)
         assert _params_digest(teacher_model) == before
         assert all(not p.requires_grad for p in teacher_model.params.values())
@@ -339,15 +336,14 @@ class TestFit:
 
         teacher = CountingTeacher()
         student = ChangeDetector(preset("nano"), seed=8)
-        cfg = TrainConfig(batch_size=4, epochs=1, seed=8, augment=NO_AUG,
-                          selection=LossSelection(distill_loss=distill_loss))
-        fit(student, teacher, train_root, cfg)
+        cfg = TrainConfig(batch_size=4, epochs=1, seed=8, augment=False)
+        fit(student, teacher, train_root, cfg, loss=LossConfig(distill_loss=distill_loss))
         assert teacher.calls == calls  # 6 train pairs at batch 4: two steps
 
     def test_student_actually_changes(self, train_root):
         student = ChangeDetector(preset("nano"), seed=5)
         before = _params_digest(student)
-        cfg = TrainConfig(batch_size=4, epochs=1, seed=5, augment=NO_AUG)
+        cfg = TrainConfig(batch_size=4, epochs=1, seed=5, augment=False)
         fit(student, None, train_root, cfg)
         assert _params_digest(student) != before
 
@@ -355,7 +351,7 @@ class TestFit:
         student = ChangeDetector(preset("nano"), seed=6)
         for p in student.params.values():
             p.data[:] = 1e30
-        cfg = TrainConfig(batch_size=4, epochs=1, seed=6, augment=NO_AUG)
+        cfg = TrainConfig(batch_size=4, epochs=1, seed=6, augment=False)
         with np.errstate(over="ignore"), pytest.raises(NumericError) as info:
             fit(student, None, train_root, cfg)
         assert str(info.value) == "epoch 1, batch 0: conv2d produced non-finite values in stage stem"
@@ -375,9 +371,8 @@ class TestFit:
                            seed=5, shape_min=1, shape_max=1)
         generate_synthetic_dataset(data, tmp_path)
         student = ChangeDetector(preset("nano"), seed=2)
-        cfg = TrainConfig(batch_size=4, base_lr=5e-3, weight_decay=0.0, epochs=200, seed=2,
-                          augment=NO_AUG, weights=LossWeights(1.0, 0.0, 0.0))
-        result = fit(student, None, tmp_path, cfg)
+        cfg = TrainConfig(batch_size=4, base_lr=5e-3, weight_decay=0.0, epochs=200, seed=2, augment=False)
+        result = fit(student, None, tmp_path, cfg, loss=LossConfig(alpha1=1.0, alpha2=0.0, alpha3=0.0))
         first, last = result.logs[0].train_loss, result.logs[-1].train_loss
         assert last <= 0.1 * first
 
