@@ -118,7 +118,8 @@ def cmd_train(args, out: _Output) -> int:
 def cmd_eval(args, out: _Output) -> int:
     model = load_checkpoint(args.ckpt)
     rc = RunConfig(model=model.config)
-    _echo(out, "eval", [("ckpt", args.ckpt), ("data", args.data), ("split", args.split)], rc, ("model",))
+    _echo(out, "eval", [("ckpt", args.ckpt), ("data", args.data), ("split", args.split),
+                        ("batch_size", args.batch_size)], rc, ("model",))
     index = load_index(args.data, args.split)
     report = evaluate(model, index, batch_size=args.batch_size)
     c = report.counts
@@ -141,8 +142,7 @@ def cmd_predict(args, out: _Output) -> int:
     )
     pre = load_ppm(args.pre)
     post = load_ppm(args.post)
-    outputs = model.forward(pre[None], post[None])
-    mask = predict_mask(outputs.probs)[0]
+    mask = predict_mask(model.predict_probs(pre[None], post[None]))[0]
     save_pgm(mask.astype(np.float32), args.out)
     changed = int(mask.sum())
     out.line(f"mask = {args.out}")

@@ -109,7 +109,7 @@ def parse_run_config(text: str) -> RunConfig:
 
 def load_run_config(path) -> RunConfig:
     try:
-        return parse_run_config(read_input(path, "config file").decode("utf-8"))
+        return parse_run_config(read_input(path, "config file").decode("utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
 

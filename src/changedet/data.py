@@ -207,7 +207,7 @@ def load_index(root, split: str) -> DatasetIndex:
     root = Path(root)
     manifest = root / split / "manifest.txt"
     try:
-        text = read_input(manifest, "manifest").decode("utf-8")
+        text = read_input(manifest, "manifest").decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"manifest {manifest} is not valid UTF-8: {exc}")
     first_line: dict[str, int] = {}  # id -> manifest line, in manifest order

@@ -175,15 +175,13 @@ def _build_bilinear_resize(rng):
 
 def _build_scale(rng):
     k = float(rng.uniform(-2.0, 2.0))
-    return {"x": rng.normal(size=_dims(rng))}, lambda t: T.scale(t["x"], k)
+    return _op(rng, lambda x: T.scale(x, k), x=_normal)
 
 
 def _build_concat_channel(rng):
     n, _, h, w = _dims(rng)
-    parts = int(rng.integers(2, 4))
-    arrays = {f"x{i}": rng.normal(size=(n, int(rng.integers(1, 4)), h, w)) for i in range(parts)}
-    names = sorted(arrays)
-    return arrays, lambda t: T.concat_channel([t[k] for k in names])
+    arrays = {f"x{i}": rng.normal(size=(n, int(rng.integers(1, 4)), h, w)) for i in range(int(rng.integers(2, 4)))}
+    return arrays, lambda t: T.concat_channel(list(t.values()))
 
 
 def _build_mae_loss(rng):

@@ -47,11 +47,9 @@ class ModelConfig:
         d = self.encoder_depths
         if len(w) != 4 or len(d) != 4:
             raise ConfigError(f"encoder needs 4 widths and 4 depths, got {w} / {d}")
-        if w[0] < 1:
+        if min(w) < 1:
             raise ConfigError(f"encoder widths must be >= 1, got {w}")
-        if not (w[3] >= w[2] >= w[1] >= w[0]):
-            raise ConfigError(f"encoder widths must be non-decreasing, got {w}")
-        # channel pooling between adjacent stages needs exact divisibility
+        # channel pooling between adjacent stages needs exact divisibility, which orders the widths
         for hi, lo in ((3, 2), (2, 1), (1, 0)):
             if w[hi] % w[lo] != 0:
                 raise ConfigError(f"width {w[hi]} (stage {hi + 1}) must be divisible by {w[lo]} (stage {lo + 1})")

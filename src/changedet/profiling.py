@@ -1,9 +1,10 @@
 """Parameter, FLOP, and latency accounting for the detector.
 
-FLOPs are counted over one real batch-of-one forward pass under op-site
-counters and split by the stage label each op ran in, so the report reflects
-the ops actually executed (resampling, gating, softmax included) rather than
-a shadow shape program that could drift from the implementation.
+Parameter and FLOP counts are both a `StageCounts`. FLOPs are counted over
+one real batch-of-one forward pass under op-site counters and split by the
+stage label each op ran in, so the report reflects the ops actually executed
+(resampling, gating, softmax included) rather than a shadow shape program
+that could drift from the implementation.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,27 +35,18 @@ _SUBMODULES = {
 
 
 @dataclass(frozen=True)
-class ParamCount:
-    total: int
-    stem: int
-    encoder: int
-    fusion: int
-    head: int
-
-
-@dataclass(frozen=True)
-class FlopReport:
-    """Forward FLOPs for one image pair at the size `count_flops` was given."""
+class StageCounts:
+    """A total split by stage; only `count_flops` fills `by_op`, the FLOPs of each op name."""
 
     total: int
     stem: int
     encoder: int
     fusion: int
     head: int
-    by_op: dict[str, int]
+    by_op: dict[str, int] = field(default_factory=dict)
 
 
-def param_counts(params: dict[str, Tensor]) -> ParamCount:
+def param_counts(params: dict[str, Tensor]) -> StageCounts:
     """Total parameter count plus a per-submodule breakdown."""
     buckets = {"stem": 0, "encoder": 0, "fusion": 0, "head": 0}
     for name, p in params.items():
@@ -62,7 +54,7 @@ def param_counts(params: dict[str, Tensor]) -> ParamCount:
         if prefix not in _SUBMODULES:
             raise ConfigError(f"parameter {name!r} belongs to no known submodule")
         buckets[_SUBMODULES[prefix]] += p.numel()
-    return ParamCount(total=sum(buckets.values()), **buckets)
+    return StageCounts(total=sum(buckets.values()), **buckets)
 
 
 def _batch_of_one(size: tuple[int, int]) -> tuple[int, int, int, int]:
@@ -75,13 +67,13 @@ def _batch_of_one(size: tuple[int, int]) -> tuple[int, int, int, int]:
     return (1, 3, h, w)
 
 
-def count_flops(config: ModelConfig, input_size: tuple[int, int]) -> FlopReport:
+def count_flops(config: ModelConfig, input_size: tuple[int, int]) -> StageCounts:
     """FLOPs of one forward pass of a fresh seed-0 model on zero images, split by stage."""
     zeros = np.zeros(_batch_of_one(input_size), dtype=REAL32)
     with FlopCounter() as counter:
         ChangeDetector(config).forward(zeros, zeros)
     stages = {name: counter.by_stage[name] for name in ("stem", "encoder", "fusion", "head")}
-    return FlopReport(total=counter.total, by_op=counter.by_op, **stages)
+    return StageCounts(total=counter.total, by_op=counter.by_op, **stages)
 
 
 def environment_info() -> dict[str, str]:

@@ -168,7 +168,10 @@ class ModelTeacher:
             p.requires_grad = False
 
     def predict(self, pre, post, gt) -> np.ndarray:
-        return self.model.predict_probs(pre, post)
+        try:
+            return self.model.predict_probs(pre, post)
+        except NumericError as exc:
+            raise NumericError(f"teacher {exc}") from exc
 
 
 def make_teacher(config: TrainConfig):
@@ -222,7 +225,7 @@ def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=No
     optimizer step per batch; the LR decays linearly over all steps of the
     run.  The per-epoch log records the training loss (sample-weighted mean
     over the epoch) with its three parts and the validation metrics.
-    A non-finite op output aborts with a NumericError naming epoch, batch, op and stage.
+    A non-finite op output aborts with a NumericError naming epoch, batch, op and stage, and the teacher if it raised.
     """
     train_index = load_index(data_root, "train")
     val_index = load_index(data_root, "val")
@@ -243,8 +246,9 @@ def fit(student: ChangeDetector, teacher, data_root, config: TrainConfig, log=No
         for batch_idx, (pre, post, mask, _ids) in enumerate(batches):
             if config.augment:
                 pre, post, mask = _augment_batch(pre, post, mask, aug_rng)
-            teacher_probs = None if teacher is None else teacher.predict(pre, post, mask)
             try:
+                # outside the tape, so the teacher's ops never join the student's graph
+                teacher_probs = None if teacher is None else teacher.predict(pre, post, mask)
                 with Tape() as tape:
                     out = student.forward(pre, post)
                     total, parts = compute_losses(

@@ -279,6 +279,12 @@ def test_eval_echoes_exactly_the_model_block_its_checkpoint_embeds(capsys, nano_
     assert blob[12 : 12 + struct.unpack("<I", blob[8:12])[0]] == block.encode("utf-8")
 
 
+def test_eval_echoes_its_batch_size(capsys, nano_run):
+    code, out, _ = run_cli(capsys, "eval", "--ckpt", nano_run.ckpt, "--data", nano_run.data, "--batch-size", 3)
+    assert code == 0
+    assert "# batch_size = 3" in out.splitlines()
+
+
 def test_eval_twice_identical(capsys, nano_run):
     args = ("eval", "--ckpt", nano_run.ckpt, "--data", nano_run.data, "--split", "val")
     assert run_cli(capsys, *args) == run_cli(capsys, *args)

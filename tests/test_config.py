@@ -340,3 +340,10 @@ def test_crlf_config_file_loads_equal_to_its_lf_text(tmp_path):
     text = effective_text(rc)
     path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
     assert load_run_config(path) == parse_run_config(text) == rc
+
+
+def test_config_file_with_a_byte_order_mark_loads_equal_to_its_text(tmp_path):
+    path = tmp_path / "run.cfg"
+    text = effective_text(RunConfig(model=preset("nano"), data=SynthConfig(image_size=96)))
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_run_config(path) == parse_run_config(text)

@@ -234,6 +234,13 @@ class TestGenerateDataset:
         blob = "".join(f"val_{i:05d}\n" for i in range(20)).encode("utf-8")
         mutation_sweep(blob, manifest, lambda: D.load_index(tmp_path, "val"), header=len(blob))
 
+    def test_manifest_with_a_byte_order_mark_gives_the_same_ids(self, tmp_path):
+        D.generate_synthetic_dataset(small_cfg(), tmp_path)
+        manifest = tmp_path / "val" / "manifest.txt"
+        ids = D.load_index(tmp_path, "val").ids
+        manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+        assert D.load_index(tmp_path, "val").ids == ids
+
     def test_manifest_rejects_a_repeated_id(self, tmp_path):
         D.generate_synthetic_dataset(small_cfg(), tmp_path)
         manifest = tmp_path / "val" / "manifest.txt"

@@ -1,6 +1,7 @@
 """Network shapes, fusion contracts, parameter bookkeeping."""
 
 import gc
+import itertools
 import os
 import re
 import signal
@@ -48,6 +49,16 @@ class TestModelConfig:
     def test_divisibility_enforced(self):
         with pytest.raises(ConfigError):
             M.ModelConfig(encoder_widths=(16, 24, 64, 128))
+
+    def test_widths_accepted_exactly_when_positive_non_decreasing_and_each_divides_the_next(self):
+        for w in itertools.product((0, 1, 2, 3, 4, 6, 8, 12, 16), repeat=4):
+            valid = min(w) >= 1 and all(lo <= hi and hi % lo == 0 for lo, hi in zip(w, w[1:]))
+            try:
+                M.ModelConfig(encoder_widths=w)
+            except ConfigError:
+                assert not valid, w
+            else:
+                assert valid, w
 
     def test_fusion_mode_enum(self):
         with pytest.raises(ConfigError):

@@ -357,6 +357,15 @@ class TestFit:
         assert str(info.value) == "epoch 1, batch 0: conv2d produced non-finite values in stage stem"
         assert info.value.exit_code == 3
 
+    def test_non_finite_teacher_output_names_epoch_batch_and_teacher(self, train_root):
+        teacher_model = ChangeDetector(preset("nano"), seed=3)
+        teacher_model.params["stem.pre.w"].data.flat[0] = np.nan  # a checkpoint refuses non-finite values
+        student = ChangeDetector(preset("nano"), seed=4)
+        cfg = TrainConfig(batch_size=4, epochs=1, seed=3, augment=False)
+        message = "^epoch 1, batch 0: teacher conv2d produced non-finite values in stage stem$"
+        with pytest.raises(NumericError, match=message):
+            fit(student, ModelTeacher(teacher_model), train_root, cfg)
+
     def test_empty_split_rejected(self, tmp_path):
         cfg = SynthConfig(image_size=32, train_count=2, val_count=0, test_count=0, seed=1)
         generate_synthetic_dataset(cfg, tmp_path)
